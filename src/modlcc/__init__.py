@@ -17,13 +17,7 @@ from .density import (
     modl_mi_estimate,
     modularity,
 )
-from .graph import (
-    EdgeListError,
-    MultigraphSample,
-    SparseContingency,
-    build_contingency,
-    parse_edge_list,
-)
+from .graph import EdgeListError, MultigraphSample, parse_edge_list
 from .hierarchy import Dendrogram, MergeRecord, build_dendrogram, cut
 from .model import (
     Coclustering,
@@ -54,9 +48,7 @@ __all__ = [
     "log_partition_count",
     "EdgeListError",
     "MultigraphSample",
-    "SparseContingency",
     "parse_edge_list",
-    "build_contingency",
     "ModelError",
     "Coclustering",
     "CriterionBreakdown",

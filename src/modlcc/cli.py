@@ -354,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("-o", "--output", required=True, help="model JSON output path")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--rounds", type=int, default=10)
-    f.add_argument("--threads", type=int, default=0, help="0 = auto (results are thread-count independent)")
     _add_ingest_flags(f)
     f.set_defaults(func=cmd_fit)
 
@@ -395,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--reps", type=int)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--rounds", type=int, default=10)
-    b.add_argument("--threads", type=int, default=0)
     b.add_argument("--n", type=int, help="vertex count (clusters experiment)")
     b.add_argument("--blocks", type=int, help="planted block count (clusters experiment)")
     b.add_argument("--noise", type=float, help="noise fraction (clusters experiment)")

@@ -1,4 +1,4 @@
-"""Directed multigraph samples: edge-list ingestion and sparse contingency views."""
+"""Directed multigraph samples and edge-list ingestion."""
 
 from __future__ import annotations
 
@@ -10,9 +10,7 @@ import numpy as np
 __all__ = [
     "EdgeListError",
     "MultigraphSample",
-    "SparseContingency",
     "parse_edge_list",
-    "build_contingency",
 ]
 
 
@@ -85,33 +83,6 @@ class MultigraphSample:
     def __repr__(self):
         return (f"MultigraphSample(n_source={self.n_source}, n_target={self.n_target}, "
                 f"m={self.m}, cells={len(self.edges)})")
-
-
-class SparseContingency:
-    """Row/column indexed view of the adjacency-count matrix of a sample."""
-
-    def __init__(self, sample: MultigraphSample):
-        self.sample = sample
-        self.rows: list[list[tuple[int, int]]] = [[] for _ in range(sample.n_source)]
-        self.columns: list[list[tuple[int, int]]] = [[] for _ in range(sample.n_target)]
-        self._cells = dict(sample.edges)
-        for (i, j), c in sorted(sample.edges.items()):
-            self.rows[i].append((j, c))
-        for (i, j), c in sorted(sample.edges.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            self.columns[j].append((i, c))
-
-    def lookup(self, i: int, j: int) -> int:
-        """Edge count for the vertex pair (i, j); 0 when the cell is absent."""
-        if not (0 <= i < self.sample.n_source and 0 <= j < self.sample.n_target):
-            raise IndexError(f"vertex pair ({i}, {j}) out of range")
-        return self._cells.get((i, j), 0)
-
-    def total(self) -> int:
-        return self.sample.m
-
-
-def build_contingency(sample: MultigraphSample) -> SparseContingency:
-    return SparseContingency(sample)
 
 
 def _read_lines(data) -> list[str]:

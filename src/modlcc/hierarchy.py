@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Coclustering
+from .optimizer import _merges
 
 __all__ = ["MergeRecord", "Dendrogram", "build_dendrogram", "cut"]
 
@@ -47,21 +48,10 @@ def build_dendrogram(model: Coclustering) -> Dendrogram:
     eng = model._engine()
     total = eng.criterion_total()
     merges: list[MergeRecord] = []
-    while eng.kS > 1 or eng.kT > 1:
-        best = None  # (delta, side, slot_a, slot_b)
-        for side in ("source", "target"):
-            if eng.k(side) < 2:
-                continue
-            slots = eng.active_slots(side)
-            g = eng.merge_global(side)
-            for ai in range(len(slots) - 1):
-                for bi in range(ai + 1, len(slots)):
-                    d = eng.merge_struct(side, slots[ai], slots[bi]) + g
-                    if best is None or d < best[0]:
-                        best = (d, side, int(slots[ai]), int(slots[bi]))
-        delta, side, sa, sb = best
-        a_pub, b_pub = eng.public_pair(side, sa, sb)
-        eng.apply_merge(side, sa, sb)
+    for delta, side, a, b in _merges(eng):
+        # delta is scored afresh from the counts, not read from the merge
+        # loop's incremental caches, so the path matches an exhaustive scan
+        a_pub, b_pub = eng.public_pair(side, a, b)
         total += delta
         merges.append(MergeRecord(side=side, a=a_pub, b=b_pub, delta=float(delta), criterion=float(total)))
     return Dendrogram(initial_model=model, merges=merges)
@@ -79,8 +69,14 @@ def cut(dendrogram: Dendrogram, target_source_clusters: int, target_target_clust
         raise ValueError(f"target source clusters must be in 1..{model.k_source}")
     if not (1 <= target_target_clusters <= model.k_target):
         raise ValueError(f"target target clusters must be in 1..{model.k_target}")
+    assign = {"source": model.source_assignment.copy(), "target": model.target_assignment.copy()}
+    k = {"source": model.k_source, "target": model.k_target}
     for rec in dendrogram.merges:
-        if model.k_source <= target_source_clusters and model.k_target <= target_target_clusters:
+        if k["source"] <= target_source_clusters and k["target"] <= target_target_clusters:
             break
-        model, _ = model.merge(rec.side, rec.a, rec.b)
-    return model
+        # fuse b into a (a < b), then close the gap so ids stay 0..k-1
+        x = assign[rec.side]
+        x[x == rec.b] = rec.a
+        x[x > rec.b] -= 1
+        k[rec.side] -= 1
+    return Coclustering(model.sample, assign["source"], assign["target"])

@@ -88,54 +88,29 @@ def initial_solution(sample, max_clusters: int, seed) -> Coclustering:
 # -- greedy bottom-up merging --------------------------------------------------
 
 
-def _pair_struct_matrix(eng: Engine, side: str) -> np.ndarray:
-    """Dense matrix of k-independent merge deltas; D[a, b] valid for active a < b."""
-    _, sizes, margin, active, M, _ = eng._state(side)
-    lf = eng.lf
-    idx = np.flatnonzero(active)
-    cap = len(active)
-    D = np.full((cap, cap), np.inf)
-    rows = M[idx]
-    lrows = lf[rows]
-    for ai in range(len(idx) - 1):
-        a = idx[ai]
-        bs = idx[ai + 1 :]
-        t6 = (lrows[ai] + lrows[ai + 1 :] - lf[rows[ai] + rows[ai + 1 :]]).sum(axis=1)
-        ma, mb = margin[a], margin[bs]
-        na, nb = sizes[a], sizes[bs]
-        t4 = (
-            eng._lnC(ma + mb + na + nb - 1, na + nb - 1)
-            - eng._lnC(ma + na - 1, na - 1)
-            - eng._lnC(mb + nb - 1, nb - 1)
-        )
-        t7 = lf[ma + mb] - lf[ma] - lf[mb]
-        D[a, bs] = t6 + t4 + t7
-    return D
+def _cluster_costs(eng: Engine, side: str, slots):
+    """k-independent criterion share of the clusters `slots` on `side`.
+
+    Merging clusters a and b changes the criterion by
+    cost(a + b) - cost(a) - cost(b), plus `Engine.merge_global`.
+    """
+    _, sizes, margin, _, M, _ = eng._state(side)
+    m, n = margin[slots], sizes[slots]
+    return eng.lf[m] + eng._lnC(m + n - 1, n - 1) - eng.lf[M[slots]].sum(axis=-1)
 
 
-def _refresh_pairs_for(eng: Engine, side: str, D: np.ndarray, slot: int):
-    """Recompute struct deltas of `slot` versus every other active cluster."""
-    _, sizes, margin, active, M, _ = eng._state(side)
+def _pair_deltas(eng: Engine, side: str, D: np.ndarray, slot, others: np.ndarray, cost: np.ndarray):
+    """Write the k-independent merge deltas of `slot` with each of `others` into D.
+
+    D[a, b] holds the delta of the pair for a < b; every other entry is inf.
+    `cost` holds `_cluster_costs` of the current counts, by slot.
+    """
+    _, sizes, margin, _, M, _ = eng._state(side)
     lf = eng.lf
-    others = np.flatnonzero(active)
-    others = others[others != slot]
-    if len(others) == 0:
-        return
-    ra = M[slot]
-    B = M[others]
-    t6 = (lf[ra] + lf[B] - lf[ra + B]).sum(axis=1)
-    ma, na = margin[slot], sizes[slot]
-    mb, nb = margin[others], sizes[others]
-    t4 = (
-        eng._lnC(ma + mb + na + nb - 1, na + nb - 1)
-        - eng._lnC(ma + na - 1, na - 1)
-        - eng._lnC(mb + nb - 1, nb - 1)
-    )
-    t7 = lf[ma + mb] - lf[ma] - lf[mb]
-    vals = t6 + t4 + t7
-    lo = np.minimum(slot, others)
-    hi = np.maximum(slot, others)
-    D[lo, hi] = vals
+    m = margin[slot] + margin[others]
+    n = sizes[slot] + sizes[others]
+    merged = lf[m] + eng._lnC(m + n - 1, n - 1) - lf[M[slot] + M[others]].sum(axis=1)
+    D[np.minimum(slot, others), np.maximum(slot, others)] = merged - cost[slot] - cost[others]
 
 
 def _cross_side_correction(eng: Engine, D_other: np.ndarray, old_a, old_b):
@@ -151,54 +126,80 @@ def _cross_side_correction(eng: Engine, D_other: np.ndarray, old_a, old_b):
 
     def pair_contrib(r):
         lr = lf[r]
-        return lr[:, None] + lr[None, :] - lf[r[:, None] + r[None, :]]
+        both = r[:, None] + r[None, :]
+        # D's diagonal is never read, and 2*r can run past the table
+        np.fill_diagonal(both, 0)
+        return lr[:, None] + lr[None, :] - lf[both]
 
     x, y = old_a[support], old_b[support]
     corr = pair_contrib(x + y) - pair_contrib(x) - pair_contrib(y)
     D_other[np.ix_(support, support)] += corr
 
 
-def _best_pair(D: np.ndarray):
-    flat = np.argmin(D)
-    a, b = divmod(int(flat), D.shape[1])
-    return D[a, b], a, b
+def _best_merge(eng: Engine, D: dict) -> tuple:
+    """Best merge left on either side as (criterion delta, side, a, b).
+
+    The pair deltas in D carry rounding from their update history, so exact
+    ties could fall either way.  Every pair within a relative 1e-9 of the
+    best (far above that rounding) is scored again from the counts, and the
+    first minimum in (side, a, b) order wins ("source" sorts first), as in a
+    scan over all pairs; the returned delta is that fresh value.
+    """
+    low = {}  # side -> (smallest pair delta, merge_global)
+    for side in ("source", "target"):
+        if eng.k(side) > 1:
+            low[side] = (D[side].min(), eng.merge_global(side))
+    best = min(v + g for v, g in low.values())
+    lim = best + 1e-9 * max(1.0, abs(best))
+    near = []
+    for side, (v, g) in low.items():
+        if v + g <= lim:
+            for a, b in zip(*np.divmod(np.flatnonzero(D[side] <= lim - g), len(D[side]))):
+                near.append((eng.merge_struct(side, a, b) + g, side, int(a), int(b)))
+    return min(near)
 
 
-def _gbum(eng: Engine, trace=None):
-    """Run greedy bottom-up merging in place until no merge improves."""
-    Ds = _pair_struct_matrix(eng, "source")
-    Dt = _pair_struct_matrix(eng, "target")
+def _merges(eng: Engine):
+    """Greedy bottom-up merge sequence of `eng`, down to one cluster per side.
+
+    Yields the best merge left on either side as (criterion delta, side,
+    slot a, slot b) and applies it when resumed; stop iterating to keep the
+    engine where it is.  Pair deltas are kept incrementally: after an
+    O(k^2 * k_other) start, each merge costs O(k * k_other) in delta updates
+    plus one vectorized O(k^2) scan for the best pair.
+    """
+    D, cost = {}, {}
+    for side in ("source", "target"):
+        slots = eng.active_slots(side)
+        cap = len(eng._state(side)[3])
+        D[side] = np.full((cap, cap), np.inf)
+        cost[side] = np.zeros(cap)
+        cost[side][slots] = _cluster_costs(eng, side, slots)
+        for i in range(len(slots) - 1):
+            _pair_deltas(eng, side, D[side], slots[i], slots[i + 1 :], cost[side])
     while eng.kS > 1 or eng.kT > 1:
-        best = None  # (total, side, a, b)
-        if eng.kS > 1:
-            v, a, b = _best_pair(Ds)
-            best = (v + eng.merge_global("source"), "source", a, b)
-        if eng.kT > 1:
-            v, a, b = _best_pair(Dt)
-            cand = (v + eng.merge_global("target"), "target", a, b)
-            if best is None or cand[0] < best[0]:
-                best = cand
-        total, side, a, b = best
+        best = _best_merge(eng, D)
+        yield best
+        _, side, a, b = best
+        other = "target" if side == "source" else "source"
+        M = eng._state(side)[4]
+        old_a, old_b = M[a].copy(), M[b].copy()
+        eng.apply_merge(side, a, b)  # a < b, so slot a survives
+        cost[side][a] = _cluster_costs(eng, side, a)
+        # every other-side cluster had its counts at a and b fused
+        cost[other] += eng.lf[old_a] + eng.lf[old_b] - eng.lf[old_a + old_b]
+        D[side][b, :] = np.inf
+        D[side][:, b] = np.inf
+        others = eng.active_slots(side)
+        _pair_deltas(eng, side, D[side], a, others[others != a], cost[side])
+        _cross_side_correction(eng, D[other], old_a, old_b)
+
+
+def _gbum(eng: Engine):
+    """Run greedy bottom-up merging in place until no merge improves."""
+    for total, _, _, _ in _merges(eng):
         if not total < 0.0:
             break
-        if side == "source":
-            old_a, old_b = eng.M[a].copy(), eng.M[b].copy()
-            keep = eng.apply_merge(side, a, b)
-            drop = b if keep == a else a
-            Ds[drop, :] = np.inf
-            Ds[:, drop] = np.inf
-            _refresh_pairs_for(eng, "source", Ds, keep)
-            _cross_side_correction(eng, Dt, old_a, old_b)
-        else:
-            old_a, old_b = eng.M[:, a].copy(), eng.M[:, b].copy()
-            keep = eng.apply_merge(side, a, b)
-            drop = b if keep == a else a
-            Dt[drop, :] = np.inf
-            Dt[:, drop] = np.inf
-            _refresh_pairs_for(eng, "target", Dt, keep)
-            _cross_side_correction(eng, Ds, old_a, old_b)
-        if trace is not None:
-            trace.append((side, a, b, float(total)))
     return eng
 
 

@@ -2,7 +2,9 @@
 
 Everything here is written in the most direct way possible (exact integer
 combinatorics, straight-line formulas, exhaustive enumeration) with no code
-shared with the package under test.
+shared with the package under test.  The one exception is the hierarchy
+oracle: an exhaustive scan over the package's own fresh merge deltas, so that
+its merge path can be compared float for float.
 """
 
 from __future__ import annotations
@@ -152,3 +154,43 @@ def random_assignment(rng, n: int):
     remap = np.zeros(k, dtype=np.int64)
     remap[used] = np.arange(len(used))
     return remap[assign]
+
+
+# -- exhaustive hierarchy ----------------------------------------------------------
+
+
+def exhaustive_dendrogram(model):
+    """Merge records of the greedy agglomeration to the root, scoring every
+    cluster pair on both sides afresh at every step (first minimum wins)."""
+    from modlcc.hierarchy import MergeRecord
+
+    eng = model._engine()
+    total = eng.criterion_total()
+    merges = []
+    while eng.kS > 1 or eng.kT > 1:
+        best = None  # (delta, side, slot_a, slot_b)
+        for side in ("source", "target"):
+            if eng.k(side) < 2:
+                continue
+            slots = eng.active_slots(side)
+            g = eng.merge_global(side)
+            for ai in range(len(slots) - 1):
+                for bi in range(ai + 1, len(slots)):
+                    d = eng.merge_struct(side, slots[ai], slots[bi]) + g
+                    if best is None or d < best[0]:
+                        best = (d, side, int(slots[ai]), int(slots[bi]))
+        delta, side, sa, sb = best
+        a_pub, b_pub = eng.public_pair(side, sa, sb)
+        eng.apply_merge(side, sa, sb)
+        total += delta
+        merges.append(MergeRecord(side=side, a=a_pub, b=b_pub, delta=float(delta), criterion=float(total)))
+    return merges
+
+
+def replayed_models(model, merges):
+    """The model after each prefix of `merges`, replayed with `Coclustering.merge`."""
+    states = [model]
+    for rec in merges:
+        model, _ = model.merge(rec.side, rec.a, rec.b)
+        states.append(model)
+    return states

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from modlcc import _engine
 from modlcc.cli import main
+from modlcc.combinatorics import CombinatoricsCache
 
 
 def run(capsys, *argv):
@@ -26,6 +28,17 @@ def gen_and_fit(tmp_path, capsys, m=400, seed=5):
     )
     assert code == 0
     return prefix, model_path, out
+
+
+def test_fit_survives_a_merged_cell_over_half_the_table(tmp_path, capsys, monkeypatch):
+    # 15 heavy cells and one stray edge: merging them makes one cocluster
+    # cell hold most of the m = 3001 edges
+    monkeypatch.setattr(_engine, "shared_cache", CombinatoricsCache())
+    lines = [f"s{i}\tt{j}\t200\n" for i in range(4) for j in range(4) if (i, j) != (0, 0)]
+    edges = tmp_path / "skewed.tsv"
+    edges.write_text("".join(lines) + "x\ty\t1\n")
+    code, out, err = run(capsys, "fit", str(edges), "-o", str(tmp_path / "m.json"))
+    assert code == 0, err
 
 
 def test_generate_line_count_equals_m(tmp_path, capsys):

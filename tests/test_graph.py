@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from modlcc.graph import (
-    EdgeListError,
-    MultigraphSample,
-    build_contingency,
-    parse_edge_list,
-)
+from modlcc.graph import EdgeListError, MultigraphSample, parse_edge_list
 
 # Directed simple graph, 8 edges (tabular example)
 SIMPLE_TSV = "A\tD\nA\tF\nB\tA\nB\tC\nB\tD\nD\tG\nF\tG\nG\tE\n"
@@ -118,23 +113,6 @@ def test_expand_lines_one_per_edge():
     assert len(lines) == sample.m
     again = parse_edge_list("".join(lines), unify=True, vocabulary=VOCAB)
     assert again.edges == sample.edges
-
-
-def test_contingency_lookup():
-    cont = build_contingency(multigraph_sample())
-    F, E = VOCAB.index("F"), VOCAB.index("E")
-    assert cont.lookup(F, E) == 2
-    assert cont.lookup(0, 0) == 0  # absent pair
-    assert cont.total() == 13
-
-
-def test_contingency_row_column_consistency():
-    cont = build_contingency(multigraph_sample())
-    for i, row in enumerate(cont.rows):
-        for j, c in row:
-            assert (i, c) in cont.columns[j]
-    with pytest.raises(IndexError):
-        cont.lookup(99, 0)
 
 
 def test_sample_rejects_bad_cells():

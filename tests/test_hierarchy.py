@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from modlcc.hierarchy import build_dendrogram, cut
-from modlcc.model import Coclustering, maximal_model, null_model
+from modlcc.model import Coclustering, from_partitions, maximal_model, null_model
 from modlcc.optimizer import gbum
+from modlcc.synthgen import gen_block_diagonal
 
-from oracles import random_assignment, random_sample
+from oracles import exhaustive_dendrogram, random_assignment, random_sample, replayed_models
 from test_graph import multigraph_sample
 from test_model import clustered_example
 
@@ -106,3 +107,30 @@ def test_dendrogram_to_dict():
     assert doc["initial_k_source"] == 2 and doc["initial_k_target"] == 3
     assert len(doc["merges"]) == 3
     assert {"side", "a", "b", "delta", "criterion"} <= set(doc["merges"][0])
+
+
+def assert_matches_exhaustive(model):
+    dend = build_dendrogram(model)
+    assert dend.merges == exhaustive_dendrogram(model)
+    # every state on the path is the cut at its own cluster counts
+    for state in replayed_models(model, dend.merges):
+        got = cut(dend, state.k_source, state.k_target)
+        assert np.array_equal(got.source_assignment, state.source_assignment)
+        assert np.array_equal(got.target_assignment, state.target_assignment)
+
+
+@pytest.mark.parametrize("seed", range(1000, 1060))
+def test_dendrogram_matches_exhaustive_scan_on_maximal_models(seed):
+    # seeds 1006 and 1047 hold exact ties that the incremental deltas alone
+    # would break differently from a scan
+    sample = random_sample(np.random.default_rng(seed), n_s_max=10, n_t_max=10, m_max=40)
+    assert_matches_exhaustive(maximal_model(sample))
+
+
+def test_dendrogram_matches_exhaustive_scan_on_planted_model():
+    sample, blocks = gen_block_diagonal(160, 12, 0.3, 6000, seed=4)
+    index = [int(label[1:]) for label in sample.source_labels]
+    planted = np.unique(np.asarray(blocks)[index], return_inverse=True)[1]
+    model = from_partitions(sample, planted, planted)
+    assert (model.k_source, model.k_target) == (12, 12)
+    assert_matches_exhaustive(model)

@@ -1,8 +1,16 @@
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from modlcc import _engine
+from modlcc._engine import Engine
+from modlcc.combinatorics import CombinatoricsCache
+from modlcc.graph import MultigraphSample
 from modlcc.model import Coclustering, maximal_model, null_model
-from modlcc.optimizer import FitConfig, gbum, initial_solution, post_optimize, vns_fit
+from modlcc.optimizer import FitConfig, _merges, gbum, initial_solution, post_optimize, vns_fit
 from modlcc.synthgen import gen_undirected_pattern
 
 from oracles import random_assignment, random_sample
@@ -110,8 +118,6 @@ def test_random_graph_collapses_to_single_cluster():
     edges = {}
     for i, j in zip(src, tgt):
         edges[(int(i), int(j))] = edges.get((int(i), int(j)), 0) + 1
-    from modlcc.graph import MultigraphSample
-
     labels = [f"v{i}" for i in range(n)]
     sample = MultigraphSample(labels, labels, edges, unified=True)
     fit = vns_fit(sample, FitConfig(rounds=5, seed=0))
@@ -123,3 +129,52 @@ def test_fit_config_validation():
         FitConfig(rounds=0)
     with pytest.raises(ValueError):
         FitConfig(post_opt_passes=-1)
+
+
+@st.composite
+def skewed_samples(draw):
+    """2-11 vertices per side; most edges on the first half of the rows and
+    columns, plus a few uniform stray edges, so merged cells grow large."""
+    n_s, n_t = draw(st.integers(2, 11)), draw(st.integers(2, 11))
+    dense, stray = draw(st.integers(300, 3000)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.zeros((n_s, n_t), dtype=np.int64)
+    h_s, h_t = max(1, n_s // 2), max(1, n_t // 2)
+    np.add.at(counts, (rng.integers(0, h_s, dense), rng.integers(0, h_t, dense)), 1)
+    np.add.at(counts, (rng.integers(0, n_s, stray), rng.integers(0, n_t, stray)), 1)
+    edges = {(int(i), int(j)): int(counts[i, j]) for i, j in zip(*np.nonzero(counts))}
+    return MultigraphSample([f"s{i}" for i in range(n_s)], [f"t{j}" for j in range(n_t)], edges)
+
+
+def assert_caches_match_recomputation(eng, D):
+    for side in ("source", "target"):
+        slots = eng.active_slots(side)
+        pairs = [tuple(p) for p in np.argwhere(np.isfinite(D[side])).tolist()]
+        assert pairs == list(combinations(slots.tolist(), 2))
+        for a, b in pairs:
+            assert D[side][a, b] == pytest.approx(eng.merge_struct(side, a, b), rel=1e-9, abs=1e-9)
+    rebuilt = Engine(eng.sample, *eng.compact_assignments(), cache=CombinatoricsCache())
+    s, t = eng.active_slots("source"), eng.active_slots("target")
+    assert np.array_equal(eng.M[np.ix_(s, t)], rebuilt.M)
+    assert np.array_equal(eng.s_margin[s], rebuilt.s_margin)
+    assert np.array_equal(eng.t_margin[t], rebuilt.t_margin)
+    assert np.array_equal(eng.s_sizes[s], rebuilt.s_sizes)
+    assert np.array_equal(eng.t_sizes[t], rebuilt.t_sizes)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(sample=skewed_samples())
+def test_merge_caches_match_recomputation_to_the_root(sample):
+    # a fresh table per engine: a shared one only grows, which hides overflows
+    eng = Engine(sample, np.arange(sample.n_source), np.arange(sample.n_target), cache=CombinatoricsCache())
+    merges = _merges(eng)
+    for _ in merges:
+        # the generator's pair-delta matrices, updated in place at each merge
+        D = merges.gi_frame.f_locals["D"]
+        assert_caches_match_recomputation(eng, D)
+    assert eng.kS == 1 and eng.kT == 1
+    assert_caches_match_recomputation(eng, D)
+    with mock.patch.object(_engine, "shared_cache", CombinatoricsCache()):
+        gbum(maximal_model(sample))
+        post_optimize(maximal_model(sample))
+        vns_fit(sample, FitConfig(rounds=3, seed=0))
