@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: generate, fit, coarsen, density, evaluate, bench.
-Exit codes: 0 success, 2 input error, 3 I/O error, 4 consistency-audit failure.
+Exit codes: 0 success, 2 input error, 3 I/O error, 4 consistency-audit failure,
+5 internal error (an unexpected exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
 EXIT_AUDIT = 4
+EXIT_INTERNAL = 5
 
 
 class CliError(Exception):
@@ -415,6 +417,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # a bug: report it in one line, not a traceback
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

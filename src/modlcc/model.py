@@ -9,6 +9,7 @@ lower is better, values are in nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,12 +129,19 @@ class Coclustering:
         grid = np.bincount(flat, weights=sample.counts, minlength=self.k_source * self.k_target)
         grid = grid.astype(np.int64).reshape(self.k_source, self.k_target)
         self.cocluster_grid = grid
-        self.cocluster_counts = {
-            (int(i), int(j)): int(grid[i, j]) for i, j in zip(*np.nonzero(grid))
-        }
         self.source_cluster_margins = grid.sum(axis=1)
         self.target_cluster_margins = grid.sum(axis=0)
         self._criterion: CriterionBreakdown | None = None
+
+    @cached_property
+    def cocluster_counts(self) -> dict[tuple[int, int], int]:
+        """Nonzero cells of `cocluster_grid` as {(i, j): count}, built on first read."""
+        return {(i, j): c for i, j, c in self._cells()}
+
+    def _cells(self) -> list[list[int]]:
+        """[i, j, count] of every nonzero grid cell, in ascending (i, j) order."""
+        i, j = np.nonzero(self.cocluster_grid)
+        return np.column_stack([i, j, self.cocluster_grid[i, j]]).tolist()
 
     # -- evaluation --------------------------------------------------------
 
@@ -184,7 +192,7 @@ class Coclustering:
         if sample.n_source != self.sample.n_source or sample.n_target != self.sample.n_target:
             raise ModelError("consistency audit failed: vertex universes differ")
         other = Coclustering(sample, self.source_assignment, self.target_assignment)
-        if other.cocluster_counts != self.cocluster_counts:
+        if not np.array_equal(other.cocluster_grid, self.cocluster_grid):
             raise ModelError("consistency audit failed: cocluster counts differ")
         if not np.array_equal(sample.out_degrees, self.sample.out_degrees) or not np.array_equal(
             sample.in_degrees, self.sample.in_degrees
@@ -216,7 +224,7 @@ class Coclustering:
             "target_assignment": self.target_assignment.tolist(),
             "source_clusters": self.clusters("source"),
             "target_clusters": self.clusters("target"),
-            "cocluster_counts": [[i, j, c] for (i, j), c in sorted(self.cocluster_counts.items())],
+            "cocluster_counts": self._cells(),
             "criterion": self.criterion().to_dict(),
         }
 
@@ -227,13 +235,28 @@ class Coclustering:
         ):
             raise ModelError("model labels do not match the sample")
         model = cls(sample, data["source_assignment"], data["target_assignment"])
-        stored = {(int(i), int(j)): int(c) for i, j, c in data.get("cocluster_counts", [])}
-        if stored and stored != model.cocluster_counts:
-            raise ModelError("consistency audit failed: stored cocluster counts differ from the sample")
+        cells = data.get("cocluster_counts", [])
+        if cells:
+            stored = _stored_grid(cells, model.cocluster_grid.shape)
+            if stored is None or not np.array_equal(stored, model.cocluster_grid):
+                raise ModelError("consistency audit failed: stored cocluster counts differ from the sample")
         return model
 
     def __repr__(self):
         return f"Coclustering(k_source={self.k_source}, k_target={self.k_target}, m={self.sample.m})"
+
+
+def _stored_grid(cells, shape) -> np.ndarray | None:
+    """The grid of stored [i, j, count] cells, or None if no grid of `shape` holds them."""
+    stored = np.array(cells, dtype=np.int64)
+    if stored.ndim != 2 or stored.shape[1] != 3:
+        raise ModelError("cocluster_counts must list [i, j, count] cells")
+    i, j, c = stored.T
+    if np.any((i < 0) | (i >= shape[0]) | (j < 0) | (j >= shape[1]) | (c <= 0)):
+        return None
+    grid = np.zeros(shape, dtype=np.int64)
+    grid[i, j] = c
+    return grid
 
 
 def from_partitions(sample, source_partition, target_partition) -> Coclustering:

@@ -117,23 +117,30 @@ def _cross_side_correction(eng: Engine, D_other: np.ndarray, old_a, old_b):
     """Adjust the other side's pair deltas after a merge changed one row.
 
     Only pairs of clusters that share nonzero cells with the merged rows
-    are impacted; everything else keeps its delta.
+    are impacted; everything else keeps its delta.  With x, y the merged
+    rows' cells and s = x + y on that support, the correction of pair (i, j)
+    is u_i + u_j + lf[x_i + x_j] + lf[y_i + y_j] - lf[s_i + s_j], where
+    u = lf[s] - lf[x] - lf[y]: three pairwise table gathers over the
+    support, O(|support|^2), added to D through flat indices.  The result
+    differs from a fresh `merge_struct` by rounding only, which
+    `_best_merge` absorbs by scoring near-ties again.
     """
     lf = eng.lf
     support = np.flatnonzero((old_a != 0) | (old_b != 0))
     if len(support) < 2:
         return
-
-    def pair_contrib(r):
-        lr = lf[r]
-        both = r[:, None] + r[None, :]
-        # D's diagonal is never read, and 2*r can run past the table
-        np.fill_diagonal(both, 0)
-        return lr[:, None] + lr[None, :] - lf[both]
-
     x, y = old_a[support], old_b[support]
-    corr = pair_contrib(x + y) - pair_contrib(x) - pair_contrib(y)
-    D_other[np.ix_(support, support)] += corr
+    s = x + y
+    u = lf[s] - lf[x] - lf[y]
+    corr = u[:, None] + u
+    # 2*r on the diagonal can run past the table; D's diagonal is never
+    # read, so clipped lookups there are harmless
+    corr += lf.take(x[:, None] + x, mode="clip")
+    corr += lf.take(y[:, None] + y, mode="clip")
+    corr -= lf.take(s[:, None] + s, mode="clip")
+    flat = (support[:, None] * D_other.shape[1] + support).ravel()
+    D_flat = D_other.reshape(-1)
+    D_flat[flat] += corr.ravel()
 
 
 def _best_merge(eng: Engine, D: dict) -> tuple:
@@ -164,9 +171,12 @@ def _merges(eng: Engine):
 
     Yields the best merge left on either side as (criterion delta, side,
     slot a, slot b) and applies it when resumed; stop iterating to keep the
-    engine where it is.  Pair deltas are kept incrementally: after an
-    O(k^2 * k_other) start, each merge costs O(k * k_other) in delta updates
-    plus one vectorized O(k^2) scan for the best pair.
+    engine where it is.  Pair deltas are kept incrementally.  The start
+    costs O(k^2 * k_other) per side.  Each merge then costs O(k * k_other)
+    to score the surviving cluster's pairs afresh, O(s^2) to correct the
+    other side's pairs, where s <= k_other is the number of other-side
+    clusters with cells in the merged rows (`_cross_side_correction`), and
+    one vectorized O(k^2) scan per side for the best pair.
     """
     D, cost = {}, {}
     for side in ("source", "target"):
@@ -216,18 +226,23 @@ def gbum(model: Coclustering) -> Coclustering:
 
 
 def _sweep(eng: Engine, side: str) -> bool:
-    """One greedy best-move pass over all vertices of `side`; True if anything moved."""
-    n = eng.nS if side == "source" else eng.nT
+    """One greedy best-move pass over all vertices of `side`; True if anything moved.
+
+    Each vertex's cluster profile is built once per sweep, in one pass over
+    the side's edges (`Engine.vertex_profiles`), and serves both its move
+    deltas and its move.
+    """
+    # the other side's partition is frozen, so every profile holds all sweep
     moved = False
-    for v in range(n):
+    for v, profile in enumerate(eng.vertex_profiles(side)):
         if eng.k(side) < 2:
             break
-        a, dests, deltas = eng.move_options(side, v)
+        a, dests, deltas = eng.move_options(side, v, profile)
         if len(dests) == 0:
             continue
         best = int(np.argmin(deltas))
         if deltas[best] < 0.0:
-            eng.apply_move(side, v, int(dests[best]))
+            eng.apply_move(side, v, int(dests[best]), profile)
             moved = True
     return moved
 

@@ -2,9 +2,11 @@
 
 Everything here is written in the most direct way possible (exact integer
 combinatorics, straight-line formulas, exhaustive enumeration) with no code
-shared with the package under test.  The one exception is the hierarchy
-oracle: an exhaustive scan over the package's own fresh merge deltas, so that
-its merge path can be compared float for float.
+shared with the package under test.  The exceptions are the hierarchy and
+vertex-move oracles: an exhaustive scan over the package's own fresh merge
+deltas, and the direct per-vertex `np.ix_` form of the move deltas, each
+written on the engine's counts so that results can be compared float for
+float.
 """
 
 from __future__ import annotations
@@ -194,3 +196,80 @@ def replayed_models(model, merges):
         model, _ = model.merge(rec.side, rec.a, rec.b)
         states.append(model)
     return states
+
+
+# -- vertex moves, per-vertex np.ix_ form -------------------------------------------
+
+
+def ix_move_options(eng, side, v):
+    """(current cluster, destination slots, deltas) of moving vertex v of
+    `side` to every other active cluster, written the direct way: a fresh
+    profile per vertex, NumPy-scalar removal terms and an np.ix_ gather of
+    the destination block."""
+    sample = eng.sample
+    if side == "source":
+        assign, sizes, margin, active, M, n = eng.s_assign, eng.s_sizes, eng.s_margin, eng.s_active, eng.M, eng.nS
+        own, other, other_assign = sample.src_idx, sample.tgt_idx, eng.t_assign
+        k, k_other = eng.kS, eng.kT
+    else:
+        assign, sizes, margin, active, M, n = eng.t_assign, eng.t_sizes, eng.t_margin, eng.t_active, eng.M.T, eng.nT
+        own, other, other_assign = sample.tgt_idx, sample.src_idx, eng.s_assign
+        k, k_other = eng.kT, eng.kS
+    lf = eng.lf
+
+    def lnC(n_, k_):
+        return lf[n_] - lf[k_] - lf[n_ - k_]
+
+    a = assign[v]
+    dests = np.flatnonzero(active)
+    dests = dests[dests != a]
+    if len(dests) == 0:
+        return a, dests, np.empty(0)
+    mine = own == v
+    dense = np.bincount(other_assign[other[mine]], weights=sample.counts[mine], minlength=M.shape[1])
+    dense = dense.astype(np.int64)
+    cols = np.flatnonzero(dense)
+    cnts = dense[cols]
+    # removal of v from its cluster a
+    dv = int(cnts.sum())
+    na, ma = int(sizes[a]), int(margin[a])
+    rowa = M[a, cols]
+    base = float((lf[rowa] - lf[rowa - cnts]).sum())
+    base += float(lf[ma - dv] - lf[ma])
+    base -= float(lnC(ma + na - 1, na - 1))
+    if na > 1:
+        base += float(lnC(ma - dv + na - 2, na - 2))
+    else:
+        base += eng.cache.log_partition_count(n, k - 1) - eng.cache.log_partition_count(n, k)
+        kE_old, kE_new = k * k_other, (k - 1) * k_other
+        base += float(lnC(eng.m + kE_new - 1, kE_new - 1) - lnC(eng.m + kE_old - 1, kE_old - 1))
+    # insertion into each destination
+    sub = M[np.ix_(dests, cols)]
+    d6 = (lf[sub] - lf[sub + cnts]).sum(axis=1)
+    mc = margin[dests]
+    nc = sizes[dests]
+    d7 = lf[mc + dv] - lf[mc]
+    d4 = lnC(mc + dv + nc, nc) - lnC(mc + nc - 1, nc - 1)
+    return a, dests, base + d6 + d7 + d4
+
+
+def ix_post_optimize(model, passes=2):
+    """Greedy best-move sweeps, source side then target side, with
+    `ix_move_options`; returns the compact (source, target) assignments."""
+    eng = model._engine()
+    for _ in range(passes):
+        moved = False
+        for side, n in (("source", eng.nS), ("target", eng.nT)):
+            for v in range(n):
+                if eng.k(side) < 2:
+                    break
+                _, dests, deltas = ix_move_options(eng, side, v)
+                if len(dests) == 0:
+                    continue
+                best = int(np.argmin(deltas))
+                if deltas[best] < 0.0:
+                    eng.apply_move(side, v, int(dests[best]))
+                    moved = True
+        if not moved:
+            break
+    return eng.compact_assignments()

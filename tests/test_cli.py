@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from modlcc import _engine
+from modlcc import _engine, cli
 from modlcc.cli import main
 from modlcc.combinatorics import CombinatoricsCache
 
@@ -102,6 +102,20 @@ def test_fit_missing_file_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "fit", str(tmp_path / "nope.tsv"),
                        "-o", str(tmp_path / "m.json"))
     assert code == 3
+
+
+def test_fit_unexpected_exception_exit_5(tmp_path, capsys, monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise RuntimeError("search state lost\nsecond line")
+
+    monkeypatch.setattr(cli, "vns_fit", broken_fit)
+    edges = tmp_path / "e.tsv"
+    edges.write_text("a\tb\nb\tc\n")
+    code, out, err = run(capsys, "fit", str(edges), "-o", str(tmp_path / "m.json"))
+    assert code == cli.EXIT_INTERNAL == 5
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith("error: ") and "RuntimeError: search state lost second line" in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_unknown_flag_rejected(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modlcc.graph import parse_edge_list
+from modlcc.graph import MultigraphSample, parse_edge_list
 from modlcc.model import (
     Coclustering,
     ModelError,
@@ -195,6 +195,44 @@ def test_from_dict_audits_counts():
     doc["cocluster_counts"][0][2] += 1  # tamper with a stored count
     with pytest.raises(ModelError, match="consistency audit failed"):
         Coclustering.from_dict(doc, model.sample)
+
+
+def test_cocluster_counts_derived_from_grid_on_first_read():
+    model = clustered_example()
+    assert "cocluster_counts" not in vars(model)
+    assert model.to_dict()["cocluster_counts"] == [[0, 1, 5], [1, 2, 8]]
+    assert "cocluster_counts" not in vars(model)
+    assert model.cocluster_counts == {(0, 1): 5, (1, 2): 8}
+    assert model.cocluster_counts is model.cocluster_counts
+
+
+@pytest.mark.parametrize("cell", [[0, 3, 1], [2, 0, 1], [-1, 1, 5], [0, 0, 0]])
+def test_from_dict_audits_cells_off_the_grid(cell):
+    model = clustered_example()
+    doc = model.to_dict()
+    doc["cocluster_counts"].append(cell)
+    with pytest.raises(ModelError, match="consistency audit failed"):
+        Coclustering.from_dict(doc, model.sample)
+
+
+def test_from_dict_rejects_malformed_cells():
+    model = clustered_example()
+    doc = model.to_dict()
+    doc["cocluster_counts"] = [[0, 1], [1, 2], [0, 5]]
+    with pytest.raises(ModelError, match=r"\[i, j, count\]"):
+        Coclustering.from_dict(doc, model.sample)
+
+
+def test_verify_consistent_detects_moved_edges():
+    # same vertices and degrees, different cells
+    labels_s, labels_t = ["s0", "s1"], ["t0", "t1"]
+    fitted = MultigraphSample(labels_s, labels_t, {(0, 0): 2, (1, 1): 3})
+    moved = MultigraphSample(labels_s, labels_t, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 2})
+    assert np.array_equal(fitted.out_degrees, moved.out_degrees)
+    assert np.array_equal(fitted.in_degrees, moved.in_degrees)
+    model = from_partitions(fitted, [0, 1], [0, 1])
+    with pytest.raises(ModelError, match="cocluster counts differ"):
+        model.verify_consistent(moved)
 
 
 def test_verify_consistent_detects_mismatched_sample():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations
 from unittest import mock
 
@@ -10,10 +12,10 @@ from modlcc._engine import Engine
 from modlcc.combinatorics import CombinatoricsCache
 from modlcc.graph import MultigraphSample
 from modlcc.model import Coclustering, maximal_model, null_model
-from modlcc.optimizer import FitConfig, _merges, gbum, initial_solution, post_optimize, vns_fit
-from modlcc.synthgen import gen_undirected_pattern
+from modlcc.optimizer import FitConfig, _merges, _post_opt, gbum, initial_solution, post_optimize, vns_fit
+from modlcc.synthgen import gen_block_diagonal, gen_undirected_pattern
 
-from oracles import random_assignment, random_sample
+from oracles import ix_move_options, ix_post_optimize, random_assignment, random_sample
 from test_graph import multigraph_sample
 
 
@@ -178,3 +180,95 @@ def test_merge_caches_match_recomputation_to_the_root(sample):
         gbum(maximal_model(sample))
         post_optimize(maximal_model(sample))
         vns_fit(sample, FitConfig(rounds=3, seed=0))
+
+
+# -- vertex-move deltas against the per-vertex np.ix_ form ------------------------
+
+
+def assert_move_options_match_oracle(eng):
+    for side in ("source", "target"):
+        for v, profile in enumerate(eng.vertex_profiles(side)):
+            a, dests, deltas = ix_move_options(eng, side, v)
+            for got in (eng.move_options(side, v), eng.move_options(side, v, profile)):
+                assert got[0] == a
+                assert np.array_equal(got[1], dests)
+                assert np.array_equal(got[2], deltas)
+            for dest, delta in list(zip(dests, deltas))[:3]:
+                assert eng.move_delta(side, v, int(dest)) == delta
+
+
+@pytest.fixture(scope="module")
+def block_sample():
+    return gen_block_diagonal(80, 4, 0.4, m=4000, seed=1)[0]
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_move_options_match_oracle_on_a_fresh_engine(block_sample, monkeypatch, table):
+    if not table:
+        monkeypatch.setattr(_engine, "_GAIN_TABLE_MAX", 0)
+    eng = initial_solution(block_sample, 64, seed=3)._engine()
+    assert eng.kS == eng.kT == 64
+    for side in ("source", "target"):
+        assert all((gain is not None) == table for _, _, gain in eng.vertex_profiles(side))
+    assert_move_options_match_oracle(eng)
+
+
+def test_move_options_match_oracle_on_singletons():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        sample = random_sample(rng, n_s_max=9, n_t_max=9, m_max=300)
+        assert_move_options_match_oracle(maximal_model(sample)._engine())
+
+
+def test_move_options_match_oracle_after_post_opt(block_sample):
+    eng = initial_solution(block_sample, 64, seed=4)._engine()
+    _post_opt(eng, 2)
+    assert_move_options_match_oracle(eng)
+
+
+def test_move_options_match_oracle_during_merges(block_sample):
+    eng = initial_solution(block_sample, 64, seed=5)._engine()
+    _post_opt(eng, 2)
+    merges = _merges(eng)
+    for _ in range(40):
+        next(merges)  # applies the merge yielded before it
+    assert not eng.s_active.all() and not eng.t_active.all()
+    assert_move_options_match_oracle(eng)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_post_optimize_matches_oracle_sweeps(block_sample, seed):
+    rng = np.random.default_rng(seed)
+    models = [
+        initial_solution(block_sample, 64, seed=seed),
+        initial_solution(block_sample, 6, seed=seed),
+        maximal_model(random_sample(rng, n_s_max=9, n_t_max=9, m_max=60)),
+    ]
+    for model in models:
+        got = post_optimize(model, passes=3)
+        s, t = ix_post_optimize(model, passes=3)
+        assert np.array_equal(got.source_assignment, s)
+        assert np.array_equal(got.target_assignment, t)
+
+
+# -- golden fits ------------------------------------------------------------------
+
+# SHA-256 of `vns_fit(sample, FitConfig(rounds=2, seed=1)).to_dict()` as JSON
+# with sorted keys and without `tool_version`, for
+# `gen_block_diagonal(300, 4, 0.5, m, seed=3)`.  Any change to the search
+# path (a different move, merge or tie-break) changes these bytes.  Recorded
+# on x86-64 Linux with NumPy 2.4 and SciPy 1.17; another libm may change the
+# last bits of the criterion and so the hash.
+GOLDEN_FITS = {
+    20_000: "cf499594025b0259cf94d8c2482b7b90bbba3b2054353003a48c8358f349258f",  # rounds stall, null model wins
+    40_000: "48b49e22d074e9b8d724aef9030a1937bb03d832c0e92082a448800c351f8261",  # planted 4x4
+}
+
+
+@pytest.mark.parametrize("m", sorted(GOLDEN_FITS))
+def test_vns_fit_golden_model(m):
+    sample, _ = gen_block_diagonal(300, 4, 0.5, m=m, seed=3)
+    doc = vns_fit(sample, FitConfig(rounds=2, seed=1)).to_dict()
+    doc.pop("tool_version")
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_FITS[m], doc["fit_log"]
