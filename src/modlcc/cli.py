@@ -218,7 +218,7 @@ def cmd_coarsen(args) -> int:
 def cmd_density(args) -> int:
     model, sample, _ = _load_model(args)
     est = estimate_density(model)
-    if args.cell:
+    if args.cell is not None:
         try:
             i, j = (int(v) for v in args.cell.split(","))
             p = est.p(i, j)
@@ -240,6 +240,10 @@ def cmd_density(args) -> int:
 # -- evaluate -----------------------------------------------------------------------
 
 
+_INFORMATION_FIELDS = ("entropy_source", "entropy_target", "joint_entropy",
+                       "mutual_information", "modl_mi", "modl_mi_likelihood")
+
+
 def cmd_evaluate(args) -> int:
     model, sample, _ = _load_model(args)
     report = information_metrics(estimate_density(model))
@@ -253,8 +257,10 @@ def cmd_evaluate(args) -> int:
     doc = report.to_dict()
     doc["units"] = "nats"
     if args.bits:
+        # modularity is a fraction of edges, not an information quantity
         ln2 = math.log(2.0)
-        doc = {k: (v / ln2 if isinstance(v, float) else v) for k, v in doc.items()}
+        for key in _INFORMATION_FIELDS:
+            doc[key] /= ln2
         doc["units"] = "bits"
     doc["tool_version"] = __version__
     text = json.dumps(doc, indent=2) + "\n"
@@ -372,8 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("density", help="edge probabilities of a fitted model")
     d.add_argument("model")
     d.add_argument("edges")
-    d.add_argument("--cell", metavar="I,J", help="single vertex pair, JSON output")
-    d.add_argument("--full", action="store_true", help="full probability grid, TSV output")
+    what = d.add_mutually_exclusive_group(required=True)
+    what.add_argument("--cell", metavar="I,J", help="single vertex pair, JSON output")
+    what.add_argument("--full", action="store_true",
+                      help="full n_S x n_T probability grid, TSV output")
     d.add_argument("-o", "--output")
     d.add_argument("--undirected", action="store_true")
     d.set_defaults(func=cmd_density)

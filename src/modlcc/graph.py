@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import io
+import functools
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -24,16 +24,29 @@ class MultigraphSample:
     Source and target vertices live in separate label spaces unless the
     sample was built with ``unify=True``, in which case both sides share
     one vocabulary (and one index per vertex).
+
+    The nonzero cells are stored once, as COO arrays ``src_idx``,
+    ``tgt_idx`` and ``counts`` in row-major cell order.  ``edges`` may be
+    given either as those three arrays (sorted, distinct cells) or as a
+    ``{(i, j): count}`` mapping, which is sorted into them.
     """
 
     def __init__(
         self,
         source_labels: list[str],
         target_labels: list[str],
-        edges: Mapping[tuple[int, int], int],
+        edges: Mapping[tuple[int, int], int] | tuple[np.ndarray, np.ndarray, np.ndarray],
         unified: bool = False,
     ):
-        if not edges:
+        if isinstance(edges, Mapping):
+            cells = sorted(edges.items())
+            edges = (
+                [i for (i, _), _ in cells],
+                [j for (_, j), _ in cells],
+                [c for _, c in cells],
+            )
+        src_idx, tgt_idx, counts = (np.asarray(a, dtype=np.int64) for a in edges)
+        if not len(counts):
             raise EdgeListError("no edges")
         if unified and source_labels != target_labels:
             raise EdgeListError("unified sample requires identical source/target labels")
@@ -42,21 +55,26 @@ class MultigraphSample:
         self.unified = unified
         n_s, n_t = len(self.source_labels), len(self.target_labels)
 
-        cells = sorted(edges.items())
-        self.src_idx = np.array([i for (i, _), _ in cells], dtype=np.int64)
-        self.tgt_idx = np.array([j for (_, j), _ in cells], dtype=np.int64)
-        self.counts = np.array([c for _, c in cells], dtype=np.int64)
-        if np.any(self.counts < 1):
+        if counts.min() < 1:
             raise EdgeListError("edge counts must be positive")
-        if self.src_idx.min() < 0 or self.src_idx.max() >= n_s:
+        if src_idx.min() < 0 or src_idx.max() >= n_s:
             raise EdgeListError("source index out of range")
-        if self.tgt_idx.min() < 0 or self.tgt_idx.max() >= n_t:
+        if tgt_idx.min() < 0 or tgt_idx.max() >= n_t:
             raise EdgeListError("target index out of range")
+        key = src_idx * n_t + tgt_idx
+        if (key[1:] <= key[:-1]).any():
+            raise EdgeListError("cells must be distinct and in row-major order")
+        self.src_idx, self.tgt_idx, self.counts = src_idx, tgt_idx, counts
 
-        self.edges = {(int(i), int(j)): int(c) for (i, j), c in cells}
-        self.m = int(self.counts.sum())
-        self.out_degrees = np.bincount(self.src_idx, weights=self.counts, minlength=n_s).astype(np.int64)
-        self.in_degrees = np.bincount(self.tgt_idx, weights=self.counts, minlength=n_t).astype(np.int64)
+        self.m = int(counts.sum())
+        self.out_degrees = np.bincount(src_idx, weights=counts, minlength=n_s).astype(np.int64)
+        self.in_degrees = np.bincount(tgt_idx, weights=counts, minlength=n_t).astype(np.int64)
+
+    @functools.cached_property
+    def edges(self) -> dict[tuple[int, int], int]:
+        """``{(i, j): count}`` over the nonzero cells, in cell order; built on first read."""
+        cells = zip(self.src_idx.tolist(), self.tgt_idx.tolist(), self.counts.tolist())
+        return {(i, j): c for i, j, c in cells}
 
     @property
     def n_source(self) -> int:
@@ -66,23 +84,29 @@ class MultigraphSample:
     def n_target(self) -> int:
         return len(self.target_labels)
 
+    def _cells(self):
+        """(source label, target label, count) per nonzero cell, in cell order."""
+        s_lab, t_lab = self.source_labels, self.target_labels
+        for i, j, c in zip(self.src_idx.tolist(), self.tgt_idx.tolist(), self.counts.tolist()):
+            yield s_lab[i], t_lab[j], c
+
     def serialize(self) -> str:
         """Aggregated TSV, one `source<TAB>target<TAB>count` line per nonzero cell."""
-        out = io.StringIO()
-        for (i, j), c in sorted(self.edges.items()):
-            out.write(f"{self.source_labels[i]}\t{self.target_labels[j]}\t{c}\n")
-        return out.getvalue()
+        return "".join(f"{s}\t{t}\t{c}\n" for s, t, c in self._cells())
 
     def expand_lines(self) -> Iterable[str]:
         """One `source<TAB>target` line per edge (multi-edges repeated), cell order."""
-        for (i, j), c in sorted(self.edges.items()):
-            line = f"{self.source_labels[i]}\t{self.target_labels[j]}\n"
+        for s, t, c in self._cells():
+            line = f"{s}\t{t}\n"
             for _ in range(c):
                 yield line
 
     def __repr__(self):
         return (f"MultigraphSample(n_source={self.n_source}, n_target={self.n_target}, "
-                f"m={self.m}, cells={len(self.edges)})")
+                f"m={self.m}, cells={len(self.counts)})")
+
+
+_HEADERS = (["source", "target"], ["source", "target", "count"])
 
 
 def _read_lines(data) -> list[str]:
@@ -129,47 +153,52 @@ def parse_edge_list(
     elif unify:
         tgt_index = src_index
 
-    def intern(table: dict[str, int], label: str) -> int:
-        if label not in table:
-            table[label] = len(table)
-        return table[label]
-
-    edges: dict[tuple[int, int], int] = {}
-
-    def add(s: str, t: str, c: int):
-        key = (intern(src_index, s), intern(tgt_index, t))
-        edges[key] = edges.get(key, 0) + c
+    src_id, tgt_id = src_index.setdefault, tgt_index.setdefault
+    srcs: list[int] = []
+    tgts: list[int] = []
+    cnts: list[int] = []
+    add_src, add_tgt, add_cnt = srcs.append, tgts.append, cnts.append
 
     seen_data = False
     for lineno, line in enumerate(_read_lines(data), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
-        fields = line.rstrip("\n").split("\t")
-        if not seen_data and [f.strip().lower() for f in fields] in (
-            ["source", "target"],
-            ["source", "target", "count"],
-        ):
+        fields = line.split("\t")
+        if not seen_data and [f.strip().lower() for f in fields] in _HEADERS:
             continue
-        if len(fields) not in (2, 3):
-            raise EdgeListError(f"line {lineno}: expected 2 or 3 tab-separated columns, got {len(fields)}")
-        s, t = fields[0], fields[1]
-        if len(fields) == 3:
+        if len(fields) == 2:
+            s, t = fields
+            c = 1
+        elif len(fields) == 3:
+            s, t, raw = fields
             try:
-                c = int(fields[2])
+                c = int(raw)
             except ValueError:
-                raise EdgeListError(f"line {lineno}: count {fields[2]!r} is not an integer") from None
+                raise EdgeListError(f"line {lineno}: count {raw!r} is not an integer") from None
             if c <= 0:
                 raise EdgeListError(f"line {lineno}: count must be positive, got {c}")
         else:
-            c = 1
+            raise EdgeListError(f"line {lineno}: expected 2 or 3 tab-separated columns, got {len(fields)}")
         seen_data = True
-        add(s, t, c)
+        add_src(src_id(s, len(src_index)))
+        add_tgt(tgt_id(t, len(tgt_index)))
+        add_cnt(c)
         if undirected:
-            add(t, s, c)
+            add_src(src_id(t, len(src_index)))
+            add_tgt(tgt_id(s, len(tgt_index)))
+            add_cnt(c)
 
-    if not edges:
+    if not cnts:
         raise EdgeListError("no edges")
     source_labels = list(src_index)
     target_labels = source_labels if unify else list(tgt_index)
-    return MultigraphSample(source_labels, target_labels, edges, unified=unify)
+    # aggregate repeated lines into cells, sorted by the row-major key
+    # i * n_T + j; integer sums, exact as the per-line counts are
+    n_t = len(target_labels)
+    key = np.array(srcs, dtype=np.int64) * n_t + np.array(tgts, dtype=np.int64)
+    cells, inverse = np.unique(key, return_inverse=True)
+    counts = np.zeros(len(cells), dtype=np.int64)
+    np.add.at(counts, inverse, np.array(cnts, dtype=np.int64))
+    src_idx, tgt_idx = np.divmod(cells, n_t)
+    return MultigraphSample(source_labels, target_labels, (src_idx, tgt_idx, counts), unified=unify)

@@ -55,14 +55,11 @@ def _labels(n: int, prefix: str = "v") -> list[str]:
 
 
 def _sample_from_cells(n_s, n_t, src, tgt, labels_s=None, labels_t=None, unified=False):
-    cells: dict[tuple[int, int], int] = {}
-    flat = src * n_t + tgt
-    counts = np.bincount(flat, minlength=n_s * n_t)
-    for f in np.flatnonzero(counts):
-        cells[(int(f) // n_t, int(f) % n_t)] = int(counts[f])
+    """Sample of the edges (src[e], tgt[e]), aggregated into sorted cells."""
+    cells, counts = np.unique(src * n_t + tgt, return_counts=True)
     labels_s = labels_s or _labels(n_s)
     labels_t = labels_s if unified else (labels_t or _labels(n_t))
-    return MultigraphSample(labels_s, labels_t, cells, unified=unified)
+    return MultigraphSample(labels_s, labels_t, (*np.divmod(cells, n_t), counts), unified=unified)
 
 
 def circular_probability_table(n: int) -> np.ndarray:

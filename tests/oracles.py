@@ -273,3 +273,103 @@ def ix_post_optimize(model, passes=2):
         if not moved:
             break
     return eng.compact_assignments()
+
+
+# -- dict-based edge-list parser ------------------------------------------------------
+
+
+class DictEdgeListError(ValueError):
+    """Raised by `dict_parse_edge_list` with the message the parser must give."""
+
+
+class DictSample:
+    """The sample fields, built from a `{(i, j): count}` dict."""
+
+    def __init__(self, source_labels, target_labels, edges, unified):
+        if not edges:
+            raise DictEdgeListError("no edges")
+        self.source_labels = list(source_labels)
+        self.target_labels = list(target_labels)
+        self.unified = unified
+        cells = sorted(edges.items())
+        self.src_idx = np.array([i for (i, _), _ in cells], dtype=np.int64)
+        self.tgt_idx = np.array([j for (_, j), _ in cells], dtype=np.int64)
+        self.counts = np.array([c for _, c in cells], dtype=np.int64)
+        self.edges = {(int(i), int(j)): int(c) for (i, j), c in cells}
+        self.m = sum(self.edges.values())
+        self.out_degrees = np.zeros(len(self.source_labels), dtype=np.int64)
+        self.in_degrees = np.zeros(len(self.target_labels), dtype=np.int64)
+        for (i, j), c in cells:
+            self.out_degrees[i] += c
+            self.in_degrees[j] += c
+
+
+def dict_parse_edge_list(data, unify=False, undirected=False, vocabulary=None,
+                         target_vocabulary=None) -> DictSample:
+    """The edge-list grammar, one dict update per line: labels interned in
+    first-appearance order, cells accumulated in a tuple-keyed dict."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    if isinstance(data, str):
+        lines = data.splitlines()
+    elif hasattr(data, "read"):
+        raw = data.read()
+        lines = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).splitlines()
+    else:
+        lines = [str(line).rstrip("\n") for line in data]
+
+    src_index, tgt_index = {}, {}
+    if vocabulary is not None:
+        for label in vocabulary:
+            src_index.setdefault(label, len(src_index))
+        if unify:
+            tgt_index = src_index
+        elif target_vocabulary is not None:
+            for label in target_vocabulary:
+                tgt_index.setdefault(label, len(tgt_index))
+    elif unify:
+        tgt_index = src_index
+
+    def intern(table, label):
+        if label not in table:
+            table[label] = len(table)
+        return table[label]
+
+    edges = {}
+
+    def add(s, t, c):
+        key = (intern(src_index, s), intern(tgt_index, t))
+        edges[key] = edges.get(key, 0) + c
+
+    seen_data = False
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if not seen_data and [f.strip().lower() for f in fields] in (
+            ["source", "target"],
+            ["source", "target", "count"],
+        ):
+            continue
+        if len(fields) not in (2, 3):
+            raise DictEdgeListError(
+                f"line {lineno}: expected 2 or 3 tab-separated columns, got {len(fields)}")
+        s, t = fields[0], fields[1]
+        if len(fields) == 3:
+            try:
+                c = int(fields[2])
+            except ValueError:
+                raise DictEdgeListError(f"line {lineno}: count {fields[2]!r} is not an integer") from None
+            if c <= 0:
+                raise DictEdgeListError(f"line {lineno}: count must be positive, got {c}")
+        else:
+            c = 1
+        seen_data = True
+        add(s, t, c)
+        if undirected:
+            add(t, s, c)
+
+    source_labels = list(src_index)
+    target_labels = source_labels if unify else list(tgt_index)
+    return DictSample(source_labels, target_labels, edges, unified=unify)

@@ -172,6 +172,16 @@ def test_density_cell_and_full(tmp_path, capsys):
     assert grid[0][3] == pytest.approx(cell["p"], rel=1e-9)
 
 
+def test_density_needs_cell_or_full(tmp_path, capsys):
+    # the n_S x n_T grid prints only on request
+    prefix, model_path, _ = gen_and_fit(tmp_path, capsys)
+    for extra in ([], ["--cell", "0,3", "--full"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["density", model_path, prefix + ".tsv", *extra])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_density_bad_cell_exit_2(tmp_path, capsys):
     prefix, model_path, _ = gen_and_fit(tmp_path, capsys)
     code, _, err = run(capsys, "density", model_path, prefix + ".tsv",
@@ -186,12 +196,17 @@ def test_evaluate_nats_and_bits(tmp_path, capsys):
     nats = json.loads(out)
     assert nats["units"] == "nats"
     assert nats["modularity"] is not None
-    code, out, _ = run(capsys, "evaluate", model_path, prefix + ".tsv", "--bits")
+    assert nats["mutual_information"] == pytest.approx(
+        nats["entropy_source"] + nats["entropy_target"] - nats["joint_entropy"], abs=1e-12
+    )
+    code, out, _ = run(capsys, "evaluate", model_path, prefix + ".tsv", "--bits", "--modularity")
     bits = json.loads(out)
     assert bits["units"] == "bits"
-    assert bits["mutual_information"] == pytest.approx(
-        nats["mutual_information"] / math.log(2), rel=1e-9
-    )
+    for key in ("entropy_source", "entropy_target", "joint_entropy", "mutual_information",
+                "modl_mi", "modl_mi_likelihood"):
+        assert bits[key] == pytest.approx(nats[key] / math.log(2), rel=1e-9)
+    # modularity is a fraction of edges: it has no unit to convert
+    assert bits["modularity"] == nats["modularity"]
 
 
 def test_bench_clusters_smoke(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from modlcc.density import (
+    DensityEstimate,
     baseline_estimator,
     estimate_density,
     information_metrics,
@@ -164,3 +166,30 @@ def test_dpi_merge_never_increases_mi():
         mi_coarse = information_metrics(estimate_density(merged)).mutual_information
         assert mi_coarse <= mi_fine + 1e-9
         checked += 1
+
+
+def test_closed_form_metrics_match_dense_grid():
+    # zero-degree vertices come from the declared vocabularies
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n_s, n_t = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        vocab_s = [f"s{i}" for i in range(n_s)]
+        vocab_t = [f"t{j}" for j in range(n_t)]
+        m = int(rng.integers(1, 40))
+        lines = "".join(f"s{rng.integers(0, n_s)}\tt{rng.integers(0, n_t)}\t{rng.integers(1, 4)}\n"
+                        for _ in range(m))
+        sample = parse_edge_list(lines, vocabulary=vocab_s, target_vocabulary=vocab_t)
+        model = Coclustering(
+            sample,
+            random_assignment(rng, sample.n_source),
+            random_assignment(rng, sample.n_target),
+        )
+        est = estimate_density(model)
+        dense = information_metrics(est.matrix())
+        with mock.patch.object(DensityEstimate, "matrix", side_effect=AssertionError("dense grid")):
+            closed = information_metrics(est)
+        for name in ("entropy_source", "entropy_target", "joint_entropy", "mutual_information"):
+            assert getattr(closed, name) == pytest.approx(getattr(dense, name), rel=1e-12, abs=1e-12)
+        assert closed.mutual_information == (
+            closed.entropy_source + closed.entropy_target - closed.joint_entropy
+        )

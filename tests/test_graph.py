@@ -1,7 +1,12 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modlcc.graph import EdgeListError, MultigraphSample, parse_edge_list
+
+from oracles import DictEdgeListError, dict_parse_edge_list
 
 # Directed simple graph, 8 edges (tabular example)
 SIMPLE_TSV = "A\tD\nA\tF\nB\tA\nB\tC\nB\tD\nD\tG\nF\tG\nG\tE\n"
@@ -122,3 +127,117 @@ def test_sample_rejects_bad_cells():
         MultigraphSample(["a"], ["b"], {(0, 5): 1})
     with pytest.raises(EdgeListError):
         MultigraphSample(["a"], ["b"], {(0, 0): 0})
+
+
+def test_sample_rejects_bad_arrays():
+    labels = ["a", "b"]
+    for src, tgt, counts in (
+        ([], [], []),
+        ([0, 2], [0, 0], [1, 1]),
+        ([0, 1], [0, -1], [1, 1]),
+        ([0, 1], [0, 0], [1, 0]),
+        ([1, 0], [0, 0], [1, 1]),  # not in row-major order
+        ([0, 0], [1, 1], [1, 1]),  # repeated cell
+    ):
+        with pytest.raises(EdgeListError):
+            MultigraphSample(labels, labels, (np.array(src), np.array(tgt), np.array(counts)))
+
+
+def test_mapping_and_arrays_build_the_same_sample():
+    cells = {(1, 0): 2, (0, 1): 1, (1, 1): 3}
+    labels = ["a", "b"]
+    from_map = MultigraphSample(labels, labels, cells, unified=True)
+    from_arrays = MultigraphSample(labels, labels, ([0, 1, 1], [1, 0, 1], [1, 2, 3]), unified=True)
+    for a, b in ((from_map, from_arrays), (from_map, parse_edge_list(from_map.serialize(), unify=True))):
+        for name in ("src_idx", "tgt_idx", "counts", "out_degrees", "in_degrees"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert getattr(a, name).dtype == getattr(b, name).dtype == np.int64
+        assert a.m == b.m == 6
+        assert a.edges == b.edges == {(0, 1): 1, (1, 0): 2, (1, 1): 3}
+        assert list(a.edges) == [(0, 1), (1, 0), (1, 1)]
+    assert repr(from_map) == "MultigraphSample(n_source=2, n_target=2, m=6, cells=3)"
+
+
+def test_edges_derived_on_first_read():
+    sample = multigraph_sample()
+    assert "edges" not in vars(sample)
+    edges = sample.edges
+    assert vars(sample)["edges"] is edges
+    assert edges == {(i, j): c for i, j, c in zip(sample.src_idx.tolist(), sample.tgt_idx.tolist(),
+                                                 sample.counts.tolist())}
+
+
+# -- the columnar parser against the dict-based one -------------------------------------
+
+LABELS = ["a", "b", "a b", " c", "d ", "source", "Target", "x y"]
+# mostly valid counts, so that most texts parse; the last four are rejected
+COUNTS = ["1", "2", " 3", "+2", "12"] * 6 + ["0", "-1", "x", ""]
+BLANKS = ["", "  ", "\t", " \t "]
+HEADERS = ["source\ttarget", "Source\tTarget\tCount", " source \t TARGET ", "source\ttarget\tcount"]
+
+
+@st.composite
+def edge_list_lines(draw):
+    lines = []
+    kinds = ["data"] * 12 + ["comment", "comment", "blank", "blank", "header", "header", "columns"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=14)):
+        if kind == "data":
+            fields = [draw(st.sampled_from(LABELS)), draw(st.sampled_from(LABELS))]
+            if draw(st.booleans()):
+                fields.append(draw(st.sampled_from(COUNTS)))
+            lines.append("\t".join(fields))
+        elif kind == "comment":
+            fields = draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=4))
+            lines.append(draw(st.sampled_from(["#", "# ", "  #"])) + "\t".join(fields))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(BLANKS)))
+        elif kind == "header":
+            lines.append(draw(st.sampled_from(HEADERS)))
+        else:
+            lines.append(draw(st.sampled_from(["a", "a\tb\t1\t1"])))
+    return lines
+
+
+def _as_input(lines, form, newline):
+    text = newline.join(lines) + newline
+    if form == "str":
+        return text
+    if form == "bytes":
+        return text.encode("utf-8")
+    if form == "text file":
+        return io.StringIO(text)
+    if form == "bytes file":
+        return io.BytesIO(text.encode("utf-8"))
+    return iter([line + "\n" for line in lines])
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    lines=edge_list_lines(),
+    form=st.sampled_from(["str", "bytes", "text file", "bytes file", "iterable"]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    unify=st.booleans(),
+    undirected=st.booleans(),
+    vocabulary=st.none() | st.lists(st.sampled_from(LABELS + ["z", "w"]), max_size=5),
+    target_vocabulary=st.none() | st.lists(st.sampled_from(LABELS + ["y"]), max_size=5),
+)
+def test_parser_matches_dict_oracle(lines, form, newline, unify, undirected, vocabulary,
+                                    target_vocabulary):
+    options = dict(unify=unify, undirected=undirected, vocabulary=vocabulary,
+                   target_vocabulary=target_vocabulary)
+    try:
+        expect = dict_parse_edge_list(_as_input(lines, form, newline), **options)
+    except DictEdgeListError as exc:
+        with pytest.raises(EdgeListError) as got:
+            parse_edge_list(_as_input(lines, form, newline), **options)
+        assert str(got.value) == str(exc)
+        return
+    sample = parse_edge_list(_as_input(lines, form, newline), **options)
+    assert sample.source_labels == expect.source_labels
+    assert sample.target_labels == expect.target_labels
+    assert sample.unified == expect.unified
+    for name in ("src_idx", "tgt_idx", "counts", "out_degrees", "in_degrees"):
+        got, want = getattr(sample, name), getattr(expect, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert sample.m == expect.m
+    assert sample.edges == expect.edges and list(sample.edges) == list(expect.edges)
