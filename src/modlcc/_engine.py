@@ -1,59 +1,77 @@
 """Internal mutable coclustering state with incremental criterion updates.
 
-The engine keeps a dense cluster-level contingency matrix over slot ids
-(slots are never renumbered while the engine lives; deactivated slots keep
-zeroed rows/columns).  All criterion deltas are computed from log-factorial
-table lookups, so incremental and full evaluations agree to rounding.
+The engine keeps a dense cluster-level contingency matrix `M` over slot ids,
+source slots along axis 0 and target slots along axis 1 (slots are never
+renumbered while the engine lives; deactivated slots keep zeroed
+rows/columns).  Each partition is one `Side` record in `Engine.sides`:
+assignment, per-slot sizes, margins and active mask, cluster count k,
+vertex count n, vertex degrees and a per-vertex adjacency built on first
+use.  `Engine.rows(side)` is M for sources and the view M.T for targets, so
+every operation reads its own side's slots along axis 0 and is written once
+for both sides.  An engine starts from a `Coclustering`'s grid, sizes and
+margins; it never counts the sample itself.  All criterion deltas are
+computed from log-factorial table lookups, so incremental and full
+evaluations agree to rounding.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .combinatorics import CombinatoricsCache, shared_cache
 
-_SIDES = ("source", "target")
+# each side's opposite, whose slots index the columns of `Engine.rows(side)`
+OTHER_SIDE = {"source": "target", "target": "source"}
 # entries of the largest per-sweep gain table (2 MB)
 _GAIN_TABLE_MAX = 1 << 18
 
 
+@dataclass(eq=False)
+class Side:
+    """One partition's state, by slot id."""
+
+    assign: np.ndarray  # vertex -> slot
+    sizes: np.ndarray  # slot -> vertex count
+    margin: np.ndarray  # slot -> edge count: the slot's row sum in `Engine.rows`
+    active: np.ndarray  # slot -> holds a cluster
+    k: int  # active slots
+    n: int  # vertices
+    degrees: np.ndarray  # vertex -> edge count
+    idx: np.ndarray  # this side's vertex of each sample cell
+    csr: tuple | None = None  # per-vertex (indptr, other-side vertex, count), built on first use
+
+
 class Engine:
-    def __init__(self, sample, s_assign, t_assign, cache: CombinatoricsCache | None = None):
-        self.sample = sample
+    def __init__(self, model, cache: CombinatoricsCache | None = None):
+        self.sample = sample = model.sample
         self.cache = cache or shared_cache
-        self.nS = sample.n_source
-        self.nT = sample.n_target
         self.m = sample.m
-
-        self.s_assign = np.asarray(s_assign, dtype=np.int64).copy()
-        self.t_assign = np.asarray(t_assign, dtype=np.int64).copy()
-        kS = int(self.s_assign.max()) + 1
-        kT = int(self.t_assign.max()) + 1
-
-        flat = self.s_assign[sample.src_idx] * kT + self.t_assign[sample.tgt_idx]
-        self.M = np.bincount(flat, weights=sample.counts, minlength=kS * kT)
-        self.M = self.M.astype(np.int64).reshape(kS, kT)
-        self.s_sizes = np.bincount(self.s_assign, minlength=kS).astype(np.int64)
-        self.t_sizes = np.bincount(self.t_assign, minlength=kT).astype(np.int64)
-        self.s_margin = self.M.sum(axis=1)
-        self.t_margin = self.M.sum(axis=0)
-        self.s_active = np.ones(kS, dtype=bool)
-        self.t_active = np.ones(kT, dtype=bool)
-        self.kS = kS
-        self.kT = kT
-
+        self.M = model.cocluster_grid.copy()
+        self.sides = {
+            "source": Side(
+                model.source_assignment.copy(), model.source_cluster_sizes.astype(np.int64),
+                model.source_cluster_margins.copy(), np.ones(model.k_source, dtype=bool),
+                model.k_source, sample.n_source, sample.out_degrees, sample.src_idx,
+            ),
+            "target": Side(
+                model.target_assignment.copy(), model.target_cluster_sizes.astype(np.int64),
+                model.target_cluster_margins.copy(), np.ones(model.k_target, dtype=bool),
+                model.k_target, sample.n_target, sample.in_degrees, sample.tgt_idx,
+            ),
+        }
         self._ensure_lf()
         # warm the partition-count rows up to the initial cluster counts
-        self.cache.log_partition_count(self.nS, kS)
-        self.cache.log_partition_count(self.nT, kT)
-        self._csr = {}
+        for s in self.sides.values():
+            self.cache.log_partition_count(s.n, s.k)
 
     # -- shared tables ------------------------------------------------------
 
     def _ensure_lf(self):
-        top = self.m + max(self.kS * self.kT, self.nS, self.nT) + 2
+        src, tgt = self.sides["source"], self.sides["target"]
+        top = self.m + max(src.k * tgt.k, src.n, tgt.n) + 2
         self.lf = self.cache.factorial_table(top)
 
     def _logB(self, n, k):
@@ -66,18 +84,11 @@ class Engine:
     # -- views ---------------------------------------------------------------
 
     def active_slots(self, side):
-        mask = self.s_active if side == "source" else self.t_active
-        return np.flatnonzero(mask)
+        return np.flatnonzero(self.sides[side].active)
 
-    def _state(self, side):
-        if side == "source":
-            return (self.s_assign, self.s_sizes, self.s_margin, self.s_active, self.M, self.nS)
-        if side == "target":
-            return (self.t_assign, self.t_sizes, self.t_margin, self.t_active, self.M.T, self.nT)
-        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-
-    def k(self, side):
-        return self.kS if side == "source" else self.kT
+    def rows(self, side):
+        """The contingency with `side`'s slots along axis 0: M or its transposed view."""
+        return self.M if side == "source" else self.M.T
 
     # -- criterion ------------------------------------------------------------
 
@@ -85,23 +96,27 @@ class Engine:
         """The eight additive terms of the evaluation criterion, in nats."""
         self._ensure_lf()
         lf = self.lf
-        sidx = self.active_slots("source")
-        tidx = self.active_slots("target")
-        kE = self.kS * self.kT
-        t1 = math.log(self.nS) + math.log(self.nT)
-        t2 = self._logB(self.nS, self.kS) + self._logB(self.nT, self.kT)
+        src, tgt = self.sides["source"], self.sides["target"]
+        sidx = np.flatnonzero(src.active)
+        tidx = np.flatnonzero(tgt.active)
+        kE = src.k * tgt.k
+        t1 = math.log(src.n) + math.log(tgt.n)
+        t2 = self._logB(src.n, src.k) + self._logB(tgt.n, tgt.k)
         t3 = float(self._lnC(self.m + kE - 1, kE - 1))
 
-        def margin_prior(margin, sizes, idx):
-            mar, sz = margin[idx], sizes[idx]
+        def margin_prior(s, idx):
+            mar, sz = s.margin[idx], s.sizes[idx]
             return float((lf[mar + sz - 1] - lf[sz - 1] - lf[mar]).sum())
 
-        t4 = margin_prior(self.s_margin, self.s_sizes, sidx)
-        t5 = margin_prior(self.t_margin, self.t_sizes, tidx)
+        def degree_likelihood(s, idx):
+            return float(lf[s.margin[idx]].sum() - lf[s.degrees].sum())
+
+        t4 = margin_prior(src, sidx)
+        t5 = margin_prior(tgt, tidx)
         sub = self.M[np.ix_(sidx, tidx)]
         t6 = float(lf[self.m] - lf[sub].sum())
-        t7 = float(lf[self.s_margin[sidx]].sum() - lf[self.sample.out_degrees].sum())
-        t8 = float(lf[self.t_margin[tidx]].sum() - lf[self.sample.in_degrees].sum())
+        t7 = degree_likelihood(src, sidx)
+        t8 = degree_likelihood(tgt, tidx)
         return (t1, t2, t3, t4, t5, t6, t7, t8)
 
     def criterion_total(self):
@@ -116,14 +131,15 @@ class Engine:
 
     def merge_struct(self, side, a, b):
         """k-independent part of the merge delta (margin priors + likelihood)."""
-        _, sizes, margin, active, M, _ = self._state(side)
-        if a == b or not (active[a] and active[b]):
+        s = self.sides[side]
+        if a == b or not (s.active[a] and s.active[b]):
             raise ValueError(f"invalid cluster pair ({a}, {b}) on {side} side")
         lf = self.lf
+        M = self.rows(side)
         ra, rb = M[a], M[b]
         d = float((lf[ra] + lf[rb] - lf[ra + rb]).sum())
-        ma, mb = margin[a], margin[b]
-        na, nb = sizes[a], sizes[b]
+        ma, mb = s.margin[a], s.margin[b]
+        na, nb = s.sizes[a], s.sizes[b]
         d += float(
             self._lnC(ma + mb + na + nb - 1, na + nb - 1)
             - self._lnC(ma + na - 1, na - 1)
@@ -138,56 +154,34 @@ class Engine:
     def apply_merge(self, side, a, b):
         """Fuse clusters a and b on `side`; the lower slot id survives."""
         keep, drop = (a, b) if a < b else (b, a)
-        if side == "source":
-            self.M[keep] += self.M[drop]
-            self.M[drop] = 0
-            self.s_margin[keep] += self.s_margin[drop]
-            self.s_margin[drop] = 0
-            self.s_sizes[keep] += self.s_sizes[drop]
-            self.s_sizes[drop] = 0
-            self.s_active[drop] = False
-            self.s_assign[self.s_assign == drop] = keep
-            self.kS -= 1
-        else:
-            self.M[:, keep] += self.M[:, drop]
-            self.M[:, drop] = 0
-            self.t_margin[keep] += self.t_margin[drop]
-            self.t_margin[drop] = 0
-            self.t_sizes[keep] += self.t_sizes[drop]
-            self.t_sizes[drop] = 0
-            self.t_active[drop] = False
-            self.t_assign[self.t_assign == drop] = keep
-            self.kT -= 1
+        s = self.sides[side]
+        for counts in (self.rows(side), s.margin, s.sizes):
+            counts[keep] += counts[drop]
+            counts[drop] = 0
+        s.active[drop] = False
+        s.assign[s.assign == drop] = keep
+        s.k -= 1
         return keep
 
     # -- vertex moves -------------------------------------------------------------
 
     def _vertex_csr(self, side):
         """Per-vertex adjacency (other-side vertex indices and counts)."""
-        if side in self._csr:
-            return self._csr[side]
-        s = self.sample
-        if side == "source":
-            order = np.argsort(s.src_idx, kind="stable")
-            own, other = s.src_idx[order], s.tgt_idx[order]
-            n = self.nS
-        else:
-            order = np.argsort(s.tgt_idx, kind="stable")
-            own, other = s.tgt_idx[order], s.src_idx[order]
-            n = self.nT
-        cnt = s.counts[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, own + 1, 1)
-        indptr = np.cumsum(indptr)
-        self._csr[side] = (indptr, other, cnt)
-        return self._csr[side]
+        s = self.sides[side]
+        if s.csr is None:
+            order = np.argsort(s.idx, kind="stable")
+            own, other = s.idx[order], self.sides[OTHER_SIDE[side]].idx[order]
+            indptr = np.zeros(s.n + 1, dtype=np.int64)
+            np.add.at(indptr, own + 1, 1)
+            s.csr = (np.cumsum(indptr), other, self.sample.counts[order])
+        return s.csr
 
     def vertex_profile(self, side, v):
         """Other-side cluster slots touched by vertex v, with edge counts."""
         indptr, other, cnt = self._vertex_csr(side)
         lo, hi = indptr[v], indptr[v + 1]
-        assign = self.t_assign if side == "source" else self.s_assign
-        cap = self.M.shape[1] if side == "source" else self.M.shape[0]
+        assign = self.sides[OTHER_SIDE[side]].assign
+        cap = self.rows(side).shape[1]
         dense = np.bincount(assign[other[lo:hi]], weights=cnt[lo:hi], minlength=cap).astype(np.int64)
         cols = np.flatnonzero(dense)
         return cols, dense[cols]
@@ -204,8 +198,8 @@ class Engine:
         when it is smaller than the move blocks it serves.
         """
         indptr, other, cnt = self._vertex_csr(side)
-        assign = self.t_assign if side == "source" else self.s_assign
-        cap = self.M.shape[1] if side == "source" else self.M.shape[0]
+        assign = self.sides[OTHER_SIDE[side]].assign
+        cap = self.rows(side).shape[1]
         starts = np.arange(len(indptr), dtype=np.int64) * cap
         keys, inverse = np.unique(np.repeat(starts[:-1], np.diff(indptr)) + assign[other], return_inverse=True)
         cnts = np.bincount(inverse, weights=cnt, minlength=len(keys)).astype(np.int64)
@@ -225,9 +219,9 @@ class Engine:
         other-side cluster's margin, which the sweep leaves unchanged, so
         x + c <= width - 1 below.
         """
-        width = int((self.t_margin if side == "source" else self.s_margin).max()) + 1
+        width = int(self.sides[OTHER_SIDE[side]].margin.max()) + 1
         rows = int(cnts.max())
-        if rows * width > min(len(cnts) * self.k(side), _GAIN_TABLE_MAX):
+        if rows * width > min(len(cnts) * self.sides[side].k, _GAIN_TABLE_MAX):
             return None
         x = np.arange(width)
         # entries past the factorial table are never read
@@ -240,13 +234,13 @@ class Engine:
         The scalar terms are Python floats: the same IEEE operations as on
         NumPy scalars, at a fraction of the call overhead.
         """
-        assign, sizes, margin, _, M, _ = self._state(side)
+        s = self.sides[side]
         lf = self.lf
         at = lf.item
-        a = int(assign[v])
-        dv = int(self._degrees(side)[v])
-        na, ma = int(sizes[a]), int(margin[a])
-        rowa = M[a, cols]
+        a = int(s.assign[v])
+        dv = int(s.degrees[v])
+        na, ma = int(s.sizes[a]), int(s.margin[a])
+        rowa = self.rows(side)[a, cols]
         base = float((lf[rowa] - lf[rowa - cnts]).sum())
         base += at(ma - dv) - at(ma)
         base -= at(ma + na - 1) - at(na - 1) - at(ma)
@@ -259,16 +253,12 @@ class Engine:
             base += dC
         return dv, base
 
-    def _degrees(self, side):
-        return self.sample.out_degrees if side == "source" else self.sample.in_degrees
-
     def _count_change(self, side, step):
         """Deltas (partition prior, cocluster prior) of `side` gaining `step` (+-1) clusters."""
-        n = self.nS if side == "source" else self.nT
-        k = self.k(side)
-        k_other = self.kT if side == "source" else self.kS
+        s = self.sides[side]
+        k, k_other = s.k, self.sides[OTHER_SIDE[side]].k
         kE_old, kE_new = k * k_other, (k + step) * k_other
-        dB = self._logB(n, k + step) - self._logB(n, k)
+        dB = self._logB(s.n, k + step) - self._logB(s.n, k)
         dC = self._lnC(self.m + kE_new - 1, kE_new - 1) - self._lnC(self.m + kE_old - 1, kE_old - 1)
         return dB, float(dC)
 
@@ -281,11 +271,11 @@ class Engine:
         both sides, so each row sums in the same order, at a fraction of the
         cost.  With a gain table, each cell's likelihood term is one lookup.
         """
-        _, sizes, margin, _, M, _ = self._state(side)
+        s = self.sides[side]
         cols, cnts, gain = profile if profile is not None else (*self.vertex_profile(side, v), None)
         dv, base = self._removal_base(side, v, cols, cnts)
         lf = self.lf
-        sub = M[:, cols][dests]
+        sub = self.rows(side)[:, cols][dests]
         if gain is None:
             d6 = lf.take(sub)
             np.subtract(d6, lf.take(sub + cnts), out=d6)
@@ -294,8 +284,8 @@ class Engine:
             sub += offsets
             d6 = table.take(sub)
         d6 = d6.sum(axis=1)
-        mc = margin[dests]
-        nc = sizes[dests]
+        mc = s.margin[dests]
+        nc = s.sizes[dests]
         d7 = lf[mc + dv] - lf[mc]
         d4 = self._lnC(mc + dv + nc, nc) - self._lnC(mc + nc - 1, nc - 1)
         return base + d6 + d7 + d4
@@ -306,9 +296,9 @@ class Engine:
         `profile` is v's entry of `vertex_profiles`, if known.  Returns (current
         cluster, destination slots, delta array).
         """
-        assign, _, _, active, _, _ = self._state(side)
-        a = assign[v]
-        dests = np.flatnonzero(active)
+        s = self.sides[side]
+        a = s.assign[v]
+        dests = np.flatnonzero(s.active)
         dests = dests[dests != a]
         if len(dests) == 0:
             return a, dests, np.empty(0)
@@ -316,15 +306,15 @@ class Engine:
 
     def move_delta(self, side, v, dest):
         """Delta of moving vertex v to cluster `dest` (None = fresh cluster)."""
-        assign, sizes, _, active, _, _ = self._state(side)
-        a = assign[v]
+        s = self.sides[side]
+        a = s.assign[v]
         if dest is not None and dest == a:
             return 0.0
-        if dest is None and sizes[a] == 1:
+        if dest is None and s.sizes[a] == 1:
             # singleton to fresh cluster: pure relabeling
             return 0.0
         if dest is not None:
-            if not active[dest]:
+            if not s.active[dest]:
                 raise ValueError(f"destination cluster {dest} is not active")
             return float(self._move_deltas(side, v, np.array([dest]))[0])
         cols, cnts = self.vertex_profile(side, v)
@@ -340,85 +330,59 @@ class Engine:
 
         `profile` is v's entry of `vertex_profiles`, if known.
         """
+        s = self.sides[side]
         cols, cnts = profile[:2] if profile is not None else self.vertex_profile(side, v)
-        dv = int(self._degrees(side)[v])
-        if side == "source":
-            a = self.s_assign[v]
-            if dest is None:
-                dest = self._grow_slot("source")
-            if dest == a:
-                return a
-            self.M[a, cols] -= cnts
-            self.M[dest, cols] += cnts
-            self.s_margin[a] -= dv
-            self.s_margin[dest] += dv
-            self.s_sizes[a] -= 1
-            self.s_sizes[dest] += 1
-            self.s_assign[v] = dest
-            if self.s_sizes[a] == 0:
-                self.s_active[a] = False
-                self.kS -= 1
-        else:
-            a = self.t_assign[v]
-            if dest is None:
-                dest = self._grow_slot("target")
-            if dest == a:
-                return a
-            self.M[cols, a] -= cnts
-            self.M[cols, dest] += cnts
-            self.t_margin[a] -= dv
-            self.t_margin[dest] += dv
-            self.t_sizes[a] -= 1
-            self.t_sizes[dest] += 1
-            self.t_assign[v] = dest
-            if self.t_sizes[a] == 0:
-                self.t_active[a] = False
-                self.kT -= 1
+        dv = int(s.degrees[v])
+        a = s.assign[v]
+        if dest is None:
+            dest = self._grow_slot(side)
+        if dest == a:
+            return a
+        M = self.rows(side)
+        M[a, cols] -= cnts
+        M[dest, cols] += cnts
+        s.margin[a] -= dv
+        s.margin[dest] += dv
+        s.sizes[a] -= 1
+        s.sizes[dest] += 1
+        s.assign[v] = dest
+        if s.sizes[a] == 0:
+            s.active[a] = False
+            s.k -= 1
         return dest
 
     def _grow_slot(self, side):
         """Activate a fresh slot, extending the matrix if needed."""
-        if side == "source":
-            inactive = np.flatnonzero(~self.s_active)
-            if len(inactive):
-                slot = int(inactive[-1])  # highest slot => highest compact id
-            else:
-                slot = self.M.shape[0]
-                self.M = np.vstack([self.M, np.zeros((1, self.M.shape[1]), dtype=np.int64)])
-                self.s_sizes = np.append(self.s_sizes, 0)
-                self.s_margin = np.append(self.s_margin, 0)
-                self.s_active = np.append(self.s_active, False)
-            self.s_active[slot] = True
-            self.kS += 1
-            self._ensure_lf()
-            return slot
-        inactive = np.flatnonzero(~self.t_active)
+        s = self.sides[side]
+        inactive = np.flatnonzero(~s.active)
         if len(inactive):
-            slot = int(inactive[-1])
+            slot = int(inactive[-1])  # highest slot => highest compact id
         else:
-            slot = self.M.shape[1]
-            self.M = np.hstack([self.M, np.zeros((self.M.shape[0], 1), dtype=np.int64)])
-            self.t_sizes = np.append(self.t_sizes, 0)
-            self.t_margin = np.append(self.t_margin, 0)
-            self.t_active = np.append(self.t_active, False)
-        self.t_active[slot] = True
-        self.kT += 1
+            slot = len(s.active)
+            grow = [(0, 0), (0, 0)]
+            grow[0 if side == "source" else 1] = (0, 1)
+            self.M = np.pad(self.M, grow)
+            s.sizes = np.append(s.sizes, 0)
+            s.margin = np.append(s.margin, 0)
+            s.active = np.append(s.active, False)
+        s.active[slot] = True
+        s.k += 1
         self._ensure_lf()
         return slot
 
     # -- export -------------------------------------------------------------------
 
     def compact_assignments(self):
-        """Assignments renumbered to 0..k-1, preserving slot order."""
-        s_map = -np.ones(len(self.s_active), dtype=np.int64)
-        s_map[self.s_active] = np.arange(self.kS)
-        t_map = -np.ones(len(self.t_active), dtype=np.int64)
-        t_map[self.t_active] = np.arange(self.kT)
-        return s_map[self.s_assign], t_map[self.t_assign]
+        """(source, target) assignments renumbered to 0..k-1, preserving slot order."""
+        out = []
+        for s in self.sides.values():
+            ids = -np.ones(len(s.active), dtype=np.int64)
+            ids[s.active] = np.arange(s.k)
+            out.append(ids[s.assign])
+        return tuple(out)
 
     def public_pair(self, side, a_slot, b_slot):
         """Compact (renumbered) ids of a slot pair, lower id first."""
-        active = self.s_active if side == "source" else self.t_active
-        ranks = np.cumsum(active) - 1
+        ranks = np.cumsum(self.sides[side].active) - 1
         pa, pb = int(ranks[a_slot]), int(ranks[b_slot])
         return (pa, pb) if pa < pb else (pb, pa)

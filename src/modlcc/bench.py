@@ -118,21 +118,14 @@ def _aggregates(rows: list[dict], columns: list[str], sizes: list[int]) -> list[
     return out
 
 
-def run_convergence_experiment(
-    spec: ExperimentSpec | None = None, output: str | None = None, progress=None
-) -> list[dict]:
-    """Compare density estimators against the generator's exact cell table.
+def _run_grid(spec: ExperimentSpec, output, progress, columns: list[str], measure) -> list[dict]:
+    """Fit every (size, rep) cell of `spec` that `output` does not hold yet.
 
-    Per (size, rep): fit the generated sample and record the fitted grid
-    shape, the criterion-gap dependence estimates (full and likelihood-only),
-    the plug-in and additive-smoothing baselines, the exact dependence of the
-    generating table, and the wall time.
+    Each row holds the size, the rep, the fitted cluster counts, then
+    `columns`, filled by `measure(sample, truth, fit)`, then the fit's wall
+    time.  The CSV gets every row plus the per-size aggregates.
     """
-    spec = spec or DESK_CONVERGENCE
-    columns = [
-        "size", "rep", "k_source", "k_target",
-        "mi_modl", "mi_modl_lh", "mi_empirical", "mi_laplace", "mi_true", "seconds",
-    ]
+    columns = ["size", "rep", "k_source", "k_target", *columns, "seconds"]
     done = _load_existing(output, columns)
     rows: list[dict] = []
     for size in spec.sizes:
@@ -146,20 +139,12 @@ def run_convergence_experiment(
             t0 = time.perf_counter()
             fit = vns_fit(sample, FitConfig(rounds=spec.rounds, seed=spec.seed))
             elapsed = time.perf_counter() - t0
-            mi_full, mi_lh = modl_mi_estimate(fit, sample)
-            mi_emp = sparse_information_metrics(sample).mutual_information
-            mi_lap = information_metrics(baseline_estimator(sample, "laplace")).mutual_information
-            mi_true = information_metrics(np.asarray(truth)).mutual_information
             row = {
                 "size": size,
                 "rep": rep,
                 "k_source": fit.best_model.k_source,
                 "k_target": fit.best_model.k_target,
-                "mi_modl": mi_full,
-                "mi_modl_lh": mi_lh,
-                "mi_empirical": mi_emp,
-                "mi_laplace": mi_lap,
-                "mi_true": mi_true,
+                **measure(sample, truth, fit),
                 "seconds": elapsed,
             }
             rows.append(row)
@@ -167,6 +152,31 @@ def run_convergence_experiment(
                 progress(row)
     _write_csv(output, columns, rows + _aggregates(rows, columns, spec.sizes))
     return rows
+
+
+def run_convergence_experiment(
+    spec: ExperimentSpec | None = None, output: str | None = None, progress=None
+) -> list[dict]:
+    """Compare density estimators against the generator's exact cell table.
+
+    Per (size, rep): fit the generated sample and record the fitted grid
+    shape, the criterion-gap dependence estimates (full and likelihood-only),
+    the plug-in and additive-smoothing baselines, the exact dependence of the
+    generating table, and the wall time.
+    """
+
+    def measure(sample, truth, fit):
+        mi_full, mi_lh = modl_mi_estimate(fit, sample)
+        return {
+            "mi_modl": mi_full,
+            "mi_modl_lh": mi_lh,
+            "mi_empirical": sparse_information_metrics(sample).mutual_information,
+            "mi_laplace": information_metrics(baseline_estimator(sample, "laplace")).mutual_information,
+            "mi_true": information_metrics(np.asarray(truth)).mutual_information,
+        }
+
+    columns = ["mi_modl", "mi_modl_lh", "mi_empirical", "mi_laplace", "mi_true"]
+    return _run_grid(spec or DESK_CONVERGENCE, output, progress, columns, measure)
 
 
 def run_cluster_curve(
@@ -179,35 +189,13 @@ def run_cluster_curve(
     planted block count of the generator.
     """
     spec = spec or DESK_CLUSTER_CURVE
-    columns = ["size", "rep", "k_source", "k_target", "recovered", "seconds"]
     true_k = spec.params.get("blocks") or spec.params.get("cluster_count")
-    done = _load_existing(output, columns)
-    rows: list[dict] = []
-    for size in spec.sizes:
-        for rep in range(spec.reps):
-            key = (size, rep)
-            if key in done:
-                rows.append(done[key])
-                continue
-            gspec = GeneratorSpec(spec.family, m=size, seed=_cell_seed(spec.seed, size, rep), params=spec.params)
-            sample, _ = generate(gspec)
-            t0 = time.perf_counter()
-            fit = vns_fit(sample, FitConfig(rounds=spec.rounds, seed=spec.seed))
-            elapsed = time.perf_counter() - t0
-            ks, kt = fit.best_model.k_source, fit.best_model.k_target
-            row = {
-                "size": size,
-                "rep": rep,
-                "k_source": ks,
-                "k_target": kt,
-                "recovered": int(true_k is not None and ks == true_k and kt == true_k),
-                "seconds": elapsed,
-            }
-            rows.append(row)
-            if progress is not None:
-                progress(row)
-    _write_csv(output, columns, rows + _aggregates(rows, columns, spec.sizes))
-    return rows
+
+    def measure(sample, truth, fit):
+        ks, kt = fit.best_model.k_source, fit.best_model.k_target
+        return {"recovered": int(true_k is not None and ks == true_k and kt == true_k)}
+
+    return _run_grid(spec, output, progress, ["recovered"], measure)
 
 
 def recovery_fractions(rows: list[dict]) -> dict[int, float]:

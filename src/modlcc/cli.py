@@ -12,11 +12,12 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .bench import DESK_CLUSTER_CURVE, DESK_CONVERGENCE, PAPER_CONVERGENCE, ExperimentSpec
+from .bench import DESK_CLUSTER_CURVE, DESK_CONVERGENCE, PAPER_CONVERGENCE
 from .bench import recovery_fractions, run_cluster_curve, run_convergence_experiment
 from .density import estimate_density, information_metrics, modl_mi_estimate, modularity
 from .graph import EdgeListError, parse_edge_list
@@ -278,13 +279,10 @@ def cmd_bench(args) -> int:
         spec = PAPER_CONVERGENCE if args.paper_scale else DESK_CONVERGENCE
     else:
         spec = DESK_CLUSTER_CURVE
-        if args.paper_scale:
-            spec = ExperimentSpec(
-                family=spec.family,
-                sizes=[50, 100, 200, 400, 800, 1600, 3200],
-                reps=10,
-                params=dict(spec.params),
-            )
+    # a copy: the module's specs stay the defaults of every later run
+    spec = replace(spec, params=dict(spec.params))
+    if args.experiment == "clusters" and args.paper_scale:
+        spec.sizes, spec.reps = [50, 100, 200, 400, 800, 1600, 3200], 10
     if args.sizes:
         spec.sizes = [int(s) for s in args.sizes.split(",")]
         if spec.sizes != sorted(set(spec.sizes)):

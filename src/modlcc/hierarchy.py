@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._engine import Engine
 from .model import Coclustering
 from .optimizer import _merges
 
@@ -45,7 +46,7 @@ def build_dendrogram(model: Coclustering) -> Dendrogram:
     are recorded verbatim (they can be negative if the input model was not
     merge-optimal).
     """
-    eng = model._engine()
+    eng = Engine(model)
     total = eng.criterion_total()
     merges: list[MergeRecord] = []
     for delta, side, a, b in _merges(eng):

@@ -106,6 +106,11 @@ def _normalize_partition(partition, labels, n, what) -> np.ndarray:
     return assign
 
 
+def _check_side(side):
+    if side not in ("source", "target"):
+        raise ModelError(f"side must be 'source' or 'target', got {side!r}")
+
+
 class Coclustering:
     """A source/target partition pair with cached counts over a sample."""
 
@@ -145,22 +150,20 @@ class Coclustering:
 
     # -- evaluation --------------------------------------------------------
 
-    def _engine(self) -> Engine:
-        return Engine(self.sample, self.source_assignment, self.target_assignment)
-
     def criterion(self) -> CriterionBreakdown:
         if self._criterion is None:
-            self._criterion = CriterionBreakdown.from_terms(self._engine().criterion_terms())
+            self._criterion = CriterionBreakdown.from_terms(Engine(self).criterion_terms())
         return self._criterion
 
     # -- edits ---------------------------------------------------------------
 
     def merge(self, side: str, a: int, b: int):
         """Fuse clusters a and b on `side`; returns (new model, criterion delta)."""
+        _check_side(side)
         k = self.k_source if side == "source" else self.k_target
         if a == b or not (0 <= a < k and 0 <= b < k):
             raise ModelError(f"invalid {side} cluster pair ({a}, {b})")
-        eng = self._engine()
+        eng = Engine(self)
         delta = eng.merge_delta(side, a, b)
         eng.apply_merge(side, a, b)
         s, t = eng.compact_assignments()
@@ -168,6 +171,7 @@ class Coclustering:
 
     def move(self, side: str, vertex: int, dest):
         """Move a vertex to cluster `dest` (or NEW_CLUSTER); returns (model, delta)."""
+        _check_side(side)
         n = self.sample.n_source if side == "source" else self.sample.n_target
         k = self.k_source if side == "source" else self.k_target
         if not 0 <= vertex < n:
@@ -178,7 +182,7 @@ class Coclustering:
         assign = self.source_assignment if side == "source" else self.target_assignment
         if not fresh and dest == assign[vertex]:
             return self, 0.0
-        eng = self._engine()
+        eng = Engine(self)
         delta = eng.move_delta(side, vertex, None if fresh else dest)
         eng.apply_move(side, vertex, None if fresh else dest)
         s, t = eng.compact_assignments()
@@ -200,6 +204,7 @@ class Coclustering:
             raise ModelError("consistency audit failed: vertex degrees differ")
 
     def clusters(self, side: str) -> list[list[str]]:
+        _check_side(side)
         labels = self.sample.source_labels if side == "source" else self.sample.target_labels
         assign = self.source_assignment if side == "source" else self.target_assignment
         k = self.k_source if side == "source" else self.k_target

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._engine import Engine
+from ._engine import OTHER_SIDE, Engine
 from .model import Coclustering, CriterionBreakdown, null_model
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
 class FitConfig:
     rounds: int = 10
     seed: int = 0
-    max_initial_clusters: int | None = None
     post_opt_passes: int = 2
 
     def __post_init__(self):
@@ -94,9 +93,9 @@ def _cluster_costs(eng: Engine, side: str, slots):
     Merging clusters a and b changes the criterion by
     cost(a + b) - cost(a) - cost(b), plus `Engine.merge_global`.
     """
-    _, sizes, margin, _, M, _ = eng._state(side)
-    m, n = margin[slots], sizes[slots]
-    return eng.lf[m] + eng._lnC(m + n - 1, n - 1) - eng.lf[M[slots]].sum(axis=-1)
+    s = eng.sides[side]
+    m, n = s.margin[slots], s.sizes[slots]
+    return eng.lf[m] + eng._lnC(m + n - 1, n - 1) - eng.lf[eng.rows(side)[slots]].sum(axis=-1)
 
 
 def _pair_deltas(eng: Engine, side: str, D: np.ndarray, slot, others: np.ndarray, cost: np.ndarray):
@@ -105,10 +104,10 @@ def _pair_deltas(eng: Engine, side: str, D: np.ndarray, slot, others: np.ndarray
     D[a, b] holds the delta of the pair for a < b; every other entry is inf.
     `cost` holds `_cluster_costs` of the current counts, by slot.
     """
-    _, sizes, margin, _, M, _ = eng._state(side)
+    s, M = eng.sides[side], eng.rows(side)
     lf = eng.lf
-    m = margin[slot] + margin[others]
-    n = sizes[slot] + sizes[others]
+    m = s.margin[slot] + s.margin[others]
+    n = s.sizes[slot] + s.sizes[others]
     merged = lf[m] + eng._lnC(m + n - 1, n - 1) - lf[M[slot] + M[others]].sum(axis=1)
     D[np.minimum(slot, others), np.maximum(slot, others)] = merged - cost[slot] - cost[others]
 
@@ -154,7 +153,7 @@ def _best_merge(eng: Engine, D: dict) -> tuple:
     """
     low = {}  # side -> (smallest pair delta, merge_global)
     for side in ("source", "target"):
-        if eng.k(side) > 1:
+        if eng.sides[side].k > 1:
             low[side] = (D[side].min(), eng.merge_global(side))
     best = min(v + g for v, g in low.values())
     lim = best + 1e-9 * max(1.0, abs(best))
@@ -181,18 +180,18 @@ def _merges(eng: Engine):
     D, cost = {}, {}
     for side in ("source", "target"):
         slots = eng.active_slots(side)
-        cap = len(eng._state(side)[3])
+        cap = len(eng.sides[side].active)
         D[side] = np.full((cap, cap), np.inf)
         cost[side] = np.zeros(cap)
         cost[side][slots] = _cluster_costs(eng, side, slots)
         for i in range(len(slots) - 1):
             _pair_deltas(eng, side, D[side], slots[i], slots[i + 1 :], cost[side])
-    while eng.kS > 1 or eng.kT > 1:
+    while eng.sides["source"].k > 1 or eng.sides["target"].k > 1:
         best = _best_merge(eng, D)
         yield best
         _, side, a, b = best
-        other = "target" if side == "source" else "source"
-        M = eng._state(side)[4]
+        other = OTHER_SIDE[side]
+        M = eng.rows(side)
         old_a, old_b = M[a].copy(), M[b].copy()
         eng.apply_merge(side, a, b)  # a < b, so slot a survives
         cost[side][a] = _cluster_costs(eng, side, a)
@@ -216,7 +215,7 @@ def _gbum(eng: Engine):
 def gbum(model: Coclustering) -> Coclustering:
     """Greedy bottom-up merge heuristic: apply the best strictly-improving
     cluster merge until none improves the criterion."""
-    eng = model._engine()
+    eng = Engine(model)
     _gbum(eng)
     s, t = eng.compact_assignments()
     return Coclustering(model.sample, s, t)
@@ -234,8 +233,9 @@ def _sweep(eng: Engine, side: str) -> bool:
     """
     # the other side's partition is frozen, so every profile holds all sweep
     moved = False
+    s = eng.sides[side]
     for v, profile in enumerate(eng.vertex_profiles(side)):
-        if eng.k(side) < 2:
+        if s.k < 2:
             break
         a, dests, deltas = eng.move_options(side, v, profile)
         if len(dests) == 0:
@@ -258,7 +258,7 @@ def _post_opt(eng: Engine, passes: int):
 
 def post_optimize(model: Coclustering, passes: int = 2) -> Coclustering:
     """Greedy vertex-move sweeps, alternating sides with the other partition frozen."""
-    eng = model._engine()
+    eng = Engine(model)
     _post_opt(eng, passes)
     s, t = eng.compact_assignments()
     return Coclustering(model.sample, s, t)
@@ -271,13 +271,11 @@ def vns_fit(sample, config: FitConfig | None = None, progress=None) -> FitResult
     """Multi-start search: per round, random initial solution, move
     pre-optimization, greedy merging, move post-optimization; keep the best."""
     config = config or FitConfig()
-    max_init = config.max_initial_clusters
-    if max_init is None:
-        r = math.isqrt(sample.m)
-        max_init = r if r * r == sample.m else r + 1  # ceil(sqrt(m))
-        if max_init < 2:
-            # tiny samples: start from the maximal model so merging can explore
-            max_init = max(sample.n_source, sample.n_target)
+    r = math.isqrt(sample.m)
+    max_init = r if r * r == sample.m else r + 1  # ceil(sqrt(m))
+    if max_init < 2:
+        # tiny samples: start from the maximal model so merging can explore
+        max_init = max(sample.n_source, sample.n_target)
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.rounds)
 
@@ -287,8 +285,7 @@ def vns_fit(sample, config: FitConfig | None = None, progress=None) -> FitResult
     for r in range(config.rounds):
         t0 = time.perf_counter()
         model = initial_solution(sample, max_init, children[r])
-        eng = model._engine()
-        ik_s, ik_t = eng.kS, eng.kT
+        eng = Engine(model)
         _post_opt(eng, config.post_opt_passes)
         _gbum(eng)
         _post_opt(eng, config.post_opt_passes)
@@ -299,8 +296,8 @@ def vns_fit(sample, config: FitConfig | None = None, progress=None) -> FitResult
         log = RoundLog(
             round=r,
             seed=config.seed,
-            initial_k_source=ik_s,
-            initial_k_target=ik_t,
+            initial_k_source=model.k_source,
+            initial_k_target=model.k_target,
             final_k_source=fitted.k_source,
             final_k_target=fitted.k_target,
             criterion=total,

@@ -164,15 +164,16 @@ def random_assignment(rng, n: int):
 def exhaustive_dendrogram(model):
     """Merge records of the greedy agglomeration to the root, scoring every
     cluster pair on both sides afresh at every step (first minimum wins)."""
+    from modlcc._engine import Engine
     from modlcc.hierarchy import MergeRecord
 
-    eng = model._engine()
+    eng = Engine(model)
     total = eng.criterion_total()
     merges = []
-    while eng.kS > 1 or eng.kT > 1:
+    while eng.sides["source"].k > 1 or eng.sides["target"].k > 1:
         best = None  # (delta, side, slot_a, slot_b)
         for side in ("source", "target"):
-            if eng.k(side) < 2:
+            if eng.sides[side].k < 2:
                 continue
             slots = eng.active_slots(side)
             g = eng.merge_global(side)
@@ -207,14 +208,15 @@ def ix_move_options(eng, side, v):
     profile per vertex, NumPy-scalar removal terms and an np.ix_ gather of
     the destination block."""
     sample = eng.sample
+    src, tgt = eng.sides["source"], eng.sides["target"]
     if side == "source":
-        assign, sizes, margin, active, M, n = eng.s_assign, eng.s_sizes, eng.s_margin, eng.s_active, eng.M, eng.nS
-        own, other, other_assign = sample.src_idx, sample.tgt_idx, eng.t_assign
-        k, k_other = eng.kS, eng.kT
+        assign, sizes, margin, active, M, n = src.assign, src.sizes, src.margin, src.active, eng.M, src.n
+        own, other, other_assign = sample.src_idx, sample.tgt_idx, tgt.assign
+        k, k_other = src.k, tgt.k
     else:
-        assign, sizes, margin, active, M, n = eng.t_assign, eng.t_sizes, eng.t_margin, eng.t_active, eng.M.T, eng.nT
-        own, other, other_assign = sample.tgt_idx, sample.src_idx, eng.s_assign
-        k, k_other = eng.kT, eng.kS
+        assign, sizes, margin, active, M, n = tgt.assign, tgt.sizes, tgt.margin, tgt.active, eng.M.T, tgt.n
+        own, other, other_assign = sample.tgt_idx, sample.src_idx, src.assign
+        k, k_other = tgt.k, src.k
     lf = eng.lf
 
     def lnC(n_, k_):
@@ -256,12 +258,14 @@ def ix_move_options(eng, side, v):
 def ix_post_optimize(model, passes=2):
     """Greedy best-move sweeps, source side then target side, with
     `ix_move_options`; returns the compact (source, target) assignments."""
-    eng = model._engine()
+    from modlcc._engine import Engine
+
+    eng = Engine(model)
     for _ in range(passes):
         moved = False
-        for side, n in (("source", eng.nS), ("target", eng.nT)):
+        for side, n in (("source", model.sample.n_source), ("target", model.sample.n_target)):
             for v in range(n):
-                if eng.k(side) < 2:
+                if eng.sides[side].k < 2:
                     break
                 _, dests, deltas = ix_move_options(eng, side, v)
                 if len(dests) == 0:

@@ -1,9 +1,10 @@
+import copy
 import json
 import math
 
 import pytest
 
-from modlcc import _engine, cli
+from modlcc import _engine, bench, cli
 from modlcc.cli import main
 from modlcc.combinatorics import CombinatoricsCache
 
@@ -226,3 +227,13 @@ def test_bench_clusters_smoke(tmp_path, capsys):
 def test_bench_bad_sizes_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "bench", "clusters", "--sizes", "200,100")
     assert code == 2
+
+
+def test_bench_leaves_the_default_specs_unchanged(capsys):
+    names = ("DESK_CONVERGENCE", "PAPER_CONVERGENCE", "DESK_CLUSTER_CURVE")
+    defaults = {name: copy.deepcopy(getattr(bench, name)) for name in names}
+    code, _, err = run(capsys, "bench", "clusters", "--sizes", "20", "--reps", "1", "--rounds", "1",
+                       "--n", "6", "--blocks", "3", "--seed", "7")
+    assert code == 0, err
+    for name in names:
+        assert getattr(bench, name) == defaults[name], name

@@ -168,6 +168,14 @@ def test_merge_rejects_bad_ids():
         model.merge("target", 0, 5)
 
 
+def test_side_names_are_checked():
+    model = clustered_example()
+    for call in (lambda: model.merge("sources", 0, 1), lambda: model.move("Target", 0, 1),
+                 lambda: model.clusters("bogus")):
+        with pytest.raises(ModelError, match="side must be"):
+            call()
+
+
 def test_partition_validation():
     sample = multigraph_sample()
     with pytest.raises(ModelError):

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modlcc import _engine
-from modlcc._engine import Engine
+from modlcc._engine import OTHER_SIDE, Engine
 from modlcc.combinatorics import CombinatoricsCache
 from modlcc.graph import MultigraphSample
 from modlcc.model import Coclustering, maximal_model, null_model
-from modlcc.optimizer import FitConfig, _merges, _post_opt, gbum, initial_solution, post_optimize, vns_fit
+from modlcc.optimizer import FitConfig, _merges, _post_opt, _sweep, gbum, initial_solution, post_optimize, vns_fit
 from modlcc.synthgen import gen_block_diagonal, gen_undirected_pattern
 
 from oracles import ix_move_options, ix_post_optimize, random_assignment, random_sample
@@ -155,26 +155,27 @@ def assert_caches_match_recomputation(eng, D):
         assert pairs == list(combinations(slots.tolist(), 2))
         for a, b in pairs:
             assert D[side][a, b] == pytest.approx(eng.merge_struct(side, a, b), rel=1e-9, abs=1e-9)
-    rebuilt = Engine(eng.sample, *eng.compact_assignments(), cache=CombinatoricsCache())
+    rebuilt = Engine(Coclustering(eng.sample, *eng.compact_assignments()), cache=CombinatoricsCache())
     s, t = eng.active_slots("source"), eng.active_slots("target")
+    src, tgt = eng.sides["source"], eng.sides["target"]
     assert np.array_equal(eng.M[np.ix_(s, t)], rebuilt.M)
-    assert np.array_equal(eng.s_margin[s], rebuilt.s_margin)
-    assert np.array_equal(eng.t_margin[t], rebuilt.t_margin)
-    assert np.array_equal(eng.s_sizes[s], rebuilt.s_sizes)
-    assert np.array_equal(eng.t_sizes[t], rebuilt.t_sizes)
+    assert np.array_equal(src.margin[s], rebuilt.sides["source"].margin)
+    assert np.array_equal(tgt.margin[t], rebuilt.sides["target"].margin)
+    assert np.array_equal(src.sizes[s], rebuilt.sides["source"].sizes)
+    assert np.array_equal(tgt.sizes[t], rebuilt.sides["target"].sizes)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(sample=skewed_samples())
 def test_merge_caches_match_recomputation_to_the_root(sample):
     # a fresh table per engine: a shared one only grows, which hides overflows
-    eng = Engine(sample, np.arange(sample.n_source), np.arange(sample.n_target), cache=CombinatoricsCache())
+    eng = Engine(maximal_model(sample), cache=CombinatoricsCache())
     merges = _merges(eng)
     for _ in merges:
         # the generator's pair-delta matrices, updated in place at each merge
         D = merges.gi_frame.f_locals["D"]
         assert_caches_match_recomputation(eng, D)
-    assert eng.kS == 1 and eng.kT == 1
+    assert eng.sides["source"].k == 1 and eng.sides["target"].k == 1
     assert_caches_match_recomputation(eng, D)
     with mock.patch.object(_engine, "shared_cache", CombinatoricsCache()):
         gbum(maximal_model(sample))
@@ -206,8 +207,8 @@ def block_sample():
 def test_move_options_match_oracle_on_a_fresh_engine(block_sample, monkeypatch, table):
     if not table:
         monkeypatch.setattr(_engine, "_GAIN_TABLE_MAX", 0)
-    eng = initial_solution(block_sample, 64, seed=3)._engine()
-    assert eng.kS == eng.kT == 64
+    eng = Engine(initial_solution(block_sample, 64, seed=3))
+    assert eng.sides["source"].k == eng.sides["target"].k == 64
     for side in ("source", "target"):
         assert all((gain is not None) == table for _, _, gain in eng.vertex_profiles(side))
     assert_move_options_match_oracle(eng)
@@ -217,22 +218,22 @@ def test_move_options_match_oracle_on_singletons():
     rng = np.random.default_rng(11)
     for _ in range(60):
         sample = random_sample(rng, n_s_max=9, n_t_max=9, m_max=300)
-        assert_move_options_match_oracle(maximal_model(sample)._engine())
+        assert_move_options_match_oracle(Engine(maximal_model(sample)))
 
 
 def test_move_options_match_oracle_after_post_opt(block_sample):
-    eng = initial_solution(block_sample, 64, seed=4)._engine()
+    eng = Engine(initial_solution(block_sample, 64, seed=4))
     _post_opt(eng, 2)
     assert_move_options_match_oracle(eng)
 
 
 def test_move_options_match_oracle_during_merges(block_sample):
-    eng = initial_solution(block_sample, 64, seed=5)._engine()
+    eng = Engine(initial_solution(block_sample, 64, seed=5))
     _post_opt(eng, 2)
     merges = _merges(eng)
     for _ in range(40):
         next(merges)  # applies the merge yielded before it
-    assert not eng.s_active.all() and not eng.t_active.all()
+    assert not eng.sides["source"].active.all() and not eng.sides["target"].active.all()
     assert_move_options_match_oracle(eng)
 
 
@@ -249,6 +250,67 @@ def test_post_optimize_matches_oracle_sweeps(block_sample, seed):
         s, t = ix_post_optimize(model, passes=3)
         assert np.array_equal(got.source_assignment, s)
         assert np.array_equal(got.target_assignment, t)
+
+
+# -- source/target mirror symmetry ---------------------------------------------------
+
+
+def assert_mirrored(eng, mirror):
+    """`mirror` is `eng` with sources and targets swapped."""
+    assert np.array_equal(eng.M, mirror.M.T)
+    for side in ("source", "target"):
+        other = OTHER_SIDE[side]
+        profiles = zip(eng.vertex_profiles(side), mirror.vertex_profiles(other))
+        for v, (p, q) in enumerate(profiles):
+            for got, want in ((eng.move_options(side, v), mirror.move_options(other, v)),
+                              (eng.move_options(side, v, p), mirror.move_options(other, v, q))):
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+                assert np.array_equal(got[2], want[2])
+        slots = eng.active_slots(side)
+        assert np.array_equal(slots, mirror.active_slots(other))
+        for a, b in combinations(slots.tolist(), 2):
+            assert eng.merge_struct(side, a, b) == mirror.merge_struct(other, a, b)
+    # t6 sums the grid in the other order
+    assert eng.criterion_total() == pytest.approx(mirror.criterion_total(), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_engine_is_symmetric_under_transposition(monkeypatch, table):
+    if not table:
+        monkeypatch.setattr(_engine, "_GAIN_TABLE_MAX", 0)
+    rng = np.random.default_rng(7)
+    counts = rng.poisson(0.5, size=(40, 25))
+    counts[:20, :8] += rng.poisson(2.0, size=(20, 8))
+    cells = {(int(i), int(j)): int(counts[i, j]) for i, j in zip(*np.nonzero(counts))}
+    sample = MultigraphSample([f"s{i}" for i in range(40)], [f"t{j}" for j in range(25)], cells)
+    swapped = {(j, i): c for (i, j), c in cells.items()}
+    sample_t = MultigraphSample(sample.target_labels, sample.source_labels, swapped)
+    model = initial_solution(sample, 12, seed=1)
+    eng = Engine(model)
+    mirror = Engine(Coclustering(sample_t, model.target_assignment, model.source_assignment))
+    for side in ("source", "target"):
+        assert all((gain is not None) == table for _, _, gain in eng.vertex_profiles(side))
+    assert_mirrored(eng, mirror)
+    for axis, side in enumerate(("source", "target")):
+        # a vertex of a shared cluster into a fresh slot, which grows M
+        s = eng.sides[side]
+        v = int(np.flatnonzero(s.sizes[s.assign] > 1)[0])
+        width = eng.M.shape[axis]
+        assert eng.apply_move(side, v, None) == mirror.apply_move(OTHER_SIDE[side], v, None) == width
+        assert eng.M.shape[axis] == width + 1
+        assert_mirrored(eng, mirror)
+    moved = False
+    for side in ("source", "target", "source", "target"):
+        step = _sweep(eng, side)
+        assert step == _sweep(mirror, OTHER_SIDE[side])
+        moved |= step
+        assert_mirrored(eng, mirror)
+    assert moved
+    for side in ("source", "target"):
+        a, b = eng.active_slots(side)[:2].tolist()
+        assert eng.apply_merge(side, a, b) == mirror.apply_merge(OTHER_SIDE[side], a, b)
+        assert_mirrored(eng, mirror)
 
 
 # -- golden fits ------------------------------------------------------------------
