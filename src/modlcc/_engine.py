@@ -44,6 +44,18 @@ class Side:
     csr: tuple | None = None  # per-vertex (indptr, other-side vertex, count), built on first use
 
 
+@dataclass(eq=False)
+class DestTerms:
+    """Per-destination terms of the move deltas into `slots`, from the counts at build time."""
+
+    slots: np.ndarray
+    mc: np.ndarray  # margins
+    nc: np.ndarray  # sizes
+    lf_mc: np.ndarray  # lf[mc]
+    lf_nc: np.ndarray  # lf[nc]
+    prior: np.ndarray  # lnC(mc + nc - 1, nc - 1)
+
+
 class Engine:
     def __init__(self, model, cache: CombinatoricsCache | None = None):
         self.sample = sample = model.sample
@@ -130,23 +142,30 @@ class Engine:
         return float(dB + dC)
 
     def merge_struct(self, side, a, b):
-        """k-independent part of the merge delta (margin priors + likelihood)."""
+        """k-independent part of the merge delta (margin priors + likelihood).
+
+        a and b are two slots, or two equal-length arrays of slots; an array
+        of pairs comes back as an array of deltas, each scored with the
+        arithmetic of a single pair.
+        """
         s = self.sides[side]
-        if a == b or not (s.active[a] and s.active[b]):
+        if not (s.active[a] & s.active[b] & (a != b)).all():
             raise ValueError(f"invalid cluster pair ({a}, {b}) on {side} side")
         lf = self.lf
         M = self.rows(side)
         ra, rb = M[a], M[b]
-        d = float((lf[ra] + lf[rb] - lf[ra + rb]).sum())
+        d = np.add.reduce(lf[ra] + lf[rb] - lf[ra + rb], axis=-1)
         ma, mb = s.margin[a], s.margin[b]
         na, nb = s.sizes[a], s.sizes[b]
-        d += float(
-            self._lnC(ma + mb + na + nb - 1, na + nb - 1)
-            - self._lnC(ma + na - 1, na - 1)
-            - self._lnC(mb + nb - 1, nb - 1)
+        # lnC(n, k) = lf[n] - lf[k] - lf[n - k], with lf[n - k] read once for both terms
+        lf_ma, lf_mb, lf_mab = lf[ma], lf[mb], lf[ma + mb]
+        d = d + (
+            (lf[ma + mb + na + nb - 1] - lf[na + nb - 1] - lf_mab)
+            - (lf[ma + na - 1] - lf[na - 1] - lf_ma)
+            - (lf[mb + nb - 1] - lf[nb - 1] - lf_mb)
         )
-        d += float(lf[ma + mb] - lf[ma] - lf[mb])
-        return d
+        d = d + (lf_mab - lf_ma - lf_mb)
+        return d if d.ndim else float(d)
 
     def merge_delta(self, side, a, b):
         return self.merge_struct(side, a, b) + self.merge_global(side)
@@ -240,12 +259,13 @@ class Engine:
         a = int(s.assign[v])
         dv = int(s.degrees[v])
         na, ma = int(s.sizes[a]), int(s.margin[a])
-        rowa = self.rows(side)[a, cols]
-        base = float((lf[rowa] - lf[rowa - cnts]).sum())
-        base += at(ma - dv) - at(ma)
-        base -= at(ma + na - 1) - at(na - 1) - at(ma)
+        rowa = self.rows(side)[a][cols]
+        base = float(np.add.reduce(lf[rowa] - lf[rowa - cnts]))
+        lf_ma, lf_rest = at(ma), at(ma - dv)
+        base += lf_rest - lf_ma
+        base -= at(ma + na - 1) - at(na - 1) - lf_ma
         if na > 1:
-            base += at(ma - dv + na - 2) - at(na - 2) - at(ma - dv)
+            base += at(ma - dv + na - 2) - at(na - 2) - lf_rest
         else:
             # cluster a disappears: the cluster-count terms change
             dB, dC = self._count_change(side, -1)
@@ -262,33 +282,47 @@ class Engine:
         dC = self._lnC(self.m + kE_new - 1, kE_new - 1) - self._lnC(self.m + kE_old - 1, kE_old - 1)
         return dB, float(dC)
 
+    def dest_terms(self, side, slots):
+        """The terms of a move delta that depend on the destination only, for `slots`."""
+        s = self.sides[side]
+        lf = self.lf
+        mc, nc = s.margin[slots], s.sizes[slots]
+        lf_mc = lf[mc]
+        nc1 = nc - 1
+        return DestTerms(slots, mc, nc, lf_mc, lf[nc], lf[mc + nc1] - lf[nc1] - lf_mc)
+
     def _move_deltas(self, side, v, dests, profile=None):
-        """Deltas of moving vertex v into each of the active slots `dests`.
+        """Deltas of moving vertex v into each slot of `dests`, a `dest_terms` record.
 
         `profile` is v's (cols, cnts, gain) from `vertex_profiles`, if known.
-        The destination block is gathered as M[:, cols][dests]: two
-        single-axis gathers that give the same C-ordered block as np.ix_, on
-        both sides, so each row sums in the same order, at a fraction of the
-        cost.  With a gain table, each cell's likelihood term is one lookup.
+        v's own slot, if among the destinations, gets +inf.  The destination
+        block is gathered as M[:, cols][slots]: two single-axis gathers that
+        give the same C-ordered block as np.ix_, on both sides, so each row
+        sums in the same order, at a fraction of the cost.  With a gain
+        table, each cell's likelihood term is one lookup.  The own slot's
+        lookups can run past the factorial table, hence the clipped reads;
+        its entry is masked.
         """
-        s = self.sides[side]
         cols, cnts, gain = profile if profile is not None else (*self.vertex_profile(side, v), None)
         dv, base = self._removal_base(side, v, cols, cnts)
         lf = self.lf
-        sub = self.rows(side)[:, cols][dests]
+        sub = self.rows(side)[:, cols][dests.slots]
         if gain is None:
             d6 = lf.take(sub)
-            np.subtract(d6, lf.take(sub + cnts), out=d6)
+            np.subtract(d6, lf.take(sub + cnts, mode="clip"), out=d6)
         else:
             table, offsets = gain
             sub += offsets
             d6 = table.take(sub)
-        d6 = d6.sum(axis=1)
-        mc = s.margin[dests]
-        nc = s.sizes[dests]
-        d7 = lf[mc + dv] - lf[mc]
-        d4 = self._lnC(mc + dv + nc, nc) - self._lnC(mc + nc - 1, nc - 1)
-        return base + d6 + d7 + d4
+        d6 = np.add.reduce(d6, axis=1)
+        mc = dests.mc + dv
+        lf_mv = lf.take(mc, mode="clip")
+        d7 = lf_mv - dests.lf_mc
+        mc += dests.nc
+        d4 = lf.take(mc, mode="clip") - dests.lf_nc - lf_mv - dests.prior
+        deltas = base + d6 + d7 + d4
+        deltas[dests.slots == self.sides[side].assign[v]] = np.inf
+        return deltas
 
     def move_options(self, side, v, profile=None):
         """Deltas of moving vertex v to every other active cluster on `side`.
@@ -298,11 +332,12 @@ class Engine:
         """
         s = self.sides[side]
         a = s.assign[v]
-        dests = np.flatnonzero(s.active)
-        dests = dests[dests != a]
-        if len(dests) == 0:
-            return a, dests, np.empty(0)
-        return a, dests, self._move_deltas(side, v, dests, profile)
+        slots = np.flatnonzero(s.active)
+        if len(slots) < 2:
+            return a, slots[slots != a], np.empty(0)
+        others = slots != a
+        deltas = self._move_deltas(side, v, self.dest_terms(side, slots), profile)
+        return a, slots[others], deltas[others]
 
     def move_delta(self, side, v, dest):
         """Delta of moving vertex v to cluster `dest` (None = fresh cluster)."""
@@ -316,7 +351,7 @@ class Engine:
         if dest is not None:
             if not s.active[dest]:
                 raise ValueError(f"destination cluster {dest} is not active")
-            return float(self._move_deltas(side, v, np.array([dest]))[0])
+            return float(self._move_deltas(side, v, self.dest_terms(side, np.array([dest])))[0])
         cols, cnts = self.vertex_profile(side, v)
         dv, base = self._removal_base(side, v, cols, cnts)
         lf = self.lf
@@ -339,8 +374,8 @@ class Engine:
         if dest == a:
             return a
         M = self.rows(side)
-        M[a, cols] -= cnts
-        M[dest, cols] += cnts
+        M[a][cols] -= cnts
+        M[dest][cols] += cnts
         s.margin[a] -= dv
         s.margin[dest] += dv
         s.sizes[a] -= 1

@@ -7,8 +7,6 @@ floating point.  All values are in nats.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 from scipy.special import gammaln
 
@@ -28,13 +26,9 @@ class CombinatoricsCache:
     subsets (empty subsets allowed): the prefix sums over i of the
     Stirling numbers of the second kind S(n, i).  Rows are cached per n
     and recomputed with a wider k range on demand.
-
-    Reads are safe from multiple threads once the tables are warm; growth
-    is serialized by an internal lock.
     """
 
     def __init__(self, initial_capacity: int = 1024):
-        self._lock = threading.Lock()
         self._lf = gammaln(np.arange(initial_capacity + 1, dtype=np.float64) + 1.0)
         self._partition_rows: dict[int, np.ndarray] = {}
 
@@ -43,10 +37,8 @@ class CombinatoricsCache:
     def factorial_table(self, n: int) -> np.ndarray:
         """Return a table t with t[i] = ln(i!) valid for 0 <= i <= n."""
         if n >= len(self._lf):
-            with self._lock:
-                if n >= len(self._lf):
-                    size = max(n + 1, 2 * len(self._lf))
-                    self._lf = gammaln(np.arange(size, dtype=np.float64) + 1.0)
+            size = max(n + 1, 2 * len(self._lf))
+            self._lf = gammaln(np.arange(size, dtype=np.float64) + 1.0)
         return self._lf
 
     def log_factorial(self, n: int) -> float:
@@ -80,21 +72,17 @@ class CombinatoricsCache:
         row = self._partition_rows.get(n)
         if row is not None and len(row) >= kmax:
             return row
-        with self._lock:
-            row = self._partition_rows.get(n)
-            if row is not None and len(row) >= kmax:
-                return row
-            # Stirling recurrence S(n, i) = i S(n-1, i) + S(n-1, i-1),
-            # carried in log space column-by-column up to kmax.
-            logs = np.full(kmax, -np.inf)
-            logs[0] = 0.0  # S(1, 1) = 1
-            logi = np.log(np.arange(1, kmax + 1, dtype=np.float64))
-            for _ in range(2, n + 1):
-                shifted = np.concatenate(([-np.inf], logs[:-1]))
-                logs = np.logaddexp(logi + logs, shifted)
-            row = np.logaddexp.accumulate(logs)
-            self._partition_rows[n] = row
-            return row
+        # Stirling recurrence S(n, i) = i S(n-1, i) + S(n-1, i-1),
+        # carried in log space column-by-column up to kmax.
+        logs = np.full(kmax, -np.inf)
+        logs[0] = 0.0  # S(1, 1) = 1
+        logi = np.log(np.arange(1, kmax + 1, dtype=np.float64))
+        for _ in range(2, n + 1):
+            shifted = np.concatenate(([-np.inf], logs[:-1]))
+            logs = np.logaddexp(logi + logs, shifted)
+        row = np.logaddexp.accumulate(logs)
+        self._partition_rows[n] = row
+        return row
 
 
 shared_cache = CombinatoricsCache()

@@ -147,9 +147,10 @@ def _best_merge(eng: Engine, D: dict) -> tuple:
 
     The pair deltas in D carry rounding from their update history, so exact
     ties could fall either way.  Every pair within a relative 1e-9 of the
-    best (far above that rounding) is scored again from the counts, and the
-    first minimum in (side, a, b) order wins ("source" sorts first), as in a
-    scan over all pairs; the returned delta is that fresh value.
+    best (far above that rounding) is scored again from the counts, one
+    `Engine.merge_struct` call per side, and the first minimum in (side, a,
+    b) order wins ("source" sorts first), as in a scan over all pairs; the
+    returned delta is that fresh value.
     """
     low = {}  # side -> (smallest pair delta, merge_global)
     for side in ("source", "target"):
@@ -160,8 +161,10 @@ def _best_merge(eng: Engine, D: dict) -> tuple:
     near = []
     for side, (v, g) in low.items():
         if v + g <= lim:
-            for a, b in zip(*np.divmod(np.flatnonzero(D[side] <= lim - g), len(D[side]))):
-                near.append((eng.merge_struct(side, a, b) + g, side, int(a), int(b)))
+            a, b = np.divmod(np.flatnonzero(D[side] <= lim - g), len(D[side]))
+            deltas = eng.merge_struct(side, a, b) + g
+            i = int(deltas.argmin())
+            near.append((float(deltas[i]), side, int(a[i]), int(b[i])))
     return min(near)
 
 
@@ -229,20 +232,23 @@ def _sweep(eng: Engine, side: str) -> bool:
 
     Each vertex's cluster profile is built once per sweep, in one pass over
     the side's edges (`Engine.vertex_profiles`), and serves both its move
-    deltas and its move.
+    deltas and its move.  The destination terms are kept from vertex to
+    vertex until a move changes them.
     """
     # the other side's partition is frozen, so every profile holds all sweep
     moved = False
     s = eng.sides[side]
+    dests = None
     for v, profile in enumerate(eng.vertex_profiles(side)):
         if s.k < 2:
             break
-        a, dests, deltas = eng.move_options(side, v, profile)
-        if len(dests) == 0:
-            continue
-        best = int(np.argmin(deltas))
+        if dests is None:
+            dests = eng.dest_terms(side, np.flatnonzero(s.active))
+        deltas = eng._move_deltas(side, v, dests, profile)
+        best = int(deltas.argmin())
         if deltas[best] < 0.0:
-            eng.apply_move(side, v, int(dests[best]), profile)
+            eng.apply_move(side, v, int(dests.slots[best]), profile)
+            dests = None
             moved = True
     return moved
 

@@ -4,7 +4,7 @@ import pytest
 from modlcc.hierarchy import build_dendrogram, cut
 from modlcc.model import Coclustering, from_partitions, maximal_model, null_model
 from modlcc.optimizer import gbum
-from modlcc.synthgen import gen_block_diagonal
+from modlcc.synthgen import gen_block_diagonal, gen_blockmodel
 
 from oracles import exhaustive_dendrogram, random_assignment, random_sample, replayed_models
 from test_graph import multigraph_sample
@@ -134,3 +134,13 @@ def test_dendrogram_matches_exhaustive_scan_on_planted_model():
     model = from_partitions(sample, planted, planted)
     assert (model.k_source, model.k_target) == (12, 12)
     assert_matches_exhaustive(model)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dendrogram_matches_exhaustive_scan_on_tied_singletons(seed):
+    # equal-degree target singletons tie: about half of the merges have
+    # several pairs within the near-tie band, up to 66
+    sample, _ = gen_blockmodel(np.ones((1, 1)), [40], 120, seed=seed)
+    source = np.random.default_rng(seed).integers(0, 3, sample.n_source)
+    source[:3] = np.arange(3)
+    assert_matches_exhaustive(Coclustering(sample, source, np.arange(sample.n_target)))

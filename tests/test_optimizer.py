@@ -133,19 +133,24 @@ def test_fit_config_validation():
         FitConfig(post_opt_passes=-1)
 
 
-@st.composite
-def skewed_samples(draw):
-    """2-11 vertices per side; most edges on the first half of the rows and
-    columns, plus a few uniform stray edges, so merged cells grow large."""
-    n_s, n_t = draw(st.integers(2, 11)), draw(st.integers(2, 11))
-    dense, stray = draw(st.integers(300, 3000)), draw(st.integers(1, 60))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def skewed_sample(rng, n_s, n_t, dense, stray):
+    """n_s x n_t vertices; `dense` edges on the first half of the rows and
+    columns plus `stray` uniform edges, so merged cells grow large."""
     counts = np.zeros((n_s, n_t), dtype=np.int64)
     h_s, h_t = max(1, n_s // 2), max(1, n_t // 2)
     np.add.at(counts, (rng.integers(0, h_s, dense), rng.integers(0, h_t, dense)), 1)
     np.add.at(counts, (rng.integers(0, n_s, stray), rng.integers(0, n_t, stray)), 1)
     edges = {(int(i), int(j)): int(counts[i, j]) for i, j in zip(*np.nonzero(counts))}
     return MultigraphSample([f"s{i}" for i in range(n_s)], [f"t{j}" for j in range(n_t)], edges)
+
+
+@st.composite
+def skewed_samples(draw):
+    """`skewed_sample` with 2-11 vertices per side."""
+    n_s, n_t = draw(st.integers(2, 11)), draw(st.integers(2, 11))
+    dense, stray = draw(st.integers(300, 3000)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return skewed_sample(rng, n_s, n_t, dense, stray)
 
 
 def assert_caches_match_recomputation(eng, D):
@@ -250,6 +255,40 @@ def test_post_optimize_matches_oracle_sweeps(block_sample, seed):
         s, t = ix_post_optimize(model, passes=3)
         assert np.array_equal(got.source_assignment, s)
         assert np.array_equal(got.target_assignment, t)
+
+
+def emptying_models():
+    """Random starts on the small skewed and cluster-recovery graphs, one
+    vertex per cluster and 3 clusters per side: sweeps empty clusters."""
+    rng = np.random.default_rng(5)
+    for i in range(8):
+        n_s, n_t = (int(n) for n in rng.integers(2, 12, size=2))
+        skewed = skewed_sample(rng, n_s, n_t, int(rng.integers(300, 3001)), int(rng.integers(1, 61)))
+        recovery = gen_block_diagonal(10, 2, 0.0, int(rng.choice([50, 100, 200, 400, 800])), seed=i)[0]
+        for sample in (skewed, recovery):
+            for k0 in (11, 3):
+                yield initial_solution(sample, k0, seed=i)
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_post_optimize_matches_oracle_sweeps_as_clusters_empty(monkeypatch, table):
+    # a sweep keeps its destination terms from vertex to vertex; the oracle
+    # scores every vertex afresh
+    if not table:
+        monkeypatch.setattr(_engine, "_GAIN_TABLE_MAX", 0)
+    tables = emptied = 0
+    for model in emptying_models():
+        profiles = [gain for side in ("source", "target") for _, _, gain in Engine(model).vertex_profiles(side)]
+        tables += any(gain is not None for gain in profiles)
+        got = post_optimize(model, passes=3)
+        s, t = ix_post_optimize(model, passes=3)
+        assert np.array_equal(got.source_assignment, s)
+        assert np.array_equal(got.target_assignment, t)
+        # clusters emptied with two or more left, so the sweeps rebuilt their terms
+        k0, k1 = (model.k_source, model.k_target), (got.k_source, got.k_target)
+        emptied += min(k1) > 1 and k1 != k0
+    assert (tables > 0) == table
+    assert emptied >= 20
 
 
 # -- source/target mirror symmetry ---------------------------------------------------
