@@ -24,11 +24,8 @@ from .model import (
     CriterionBreakdown,
     ModelError,
     NEW_CLUSTER,
-    criterion,
     from_partitions,
     maximal_model,
-    merge,
-    move,
     null_model,
 )
 from .optimizer import FitConfig, FitResult, gbum, initial_solution, post_optimize, vns_fit
@@ -54,9 +51,6 @@ __all__ = [
     "CriterionBreakdown",
     "NEW_CLUSTER",
     "from_partitions",
-    "criterion",
-    "merge",
-    "move",
     "null_model",
     "maximal_model",
     "FitConfig",

@@ -1,9 +1,10 @@
 """Internal mutable coclustering state with incremental criterion updates.
 
 The engine keeps a dense cluster-level contingency matrix `M` over slot ids,
-source slots along axis 0 and target slots along axis 1 (slots are never
-renumbered while the engine lives; deactivated slots keep zeroed
-rows/columns).  Each partition is one `Side` record in `Engine.sides`:
+source slots along axis 0 and target slots along axis 1.  `M` and the
+per-slot arrays keep the shape they are built with: slots are never added
+or renumbered while the engine lives, and deactivated slots keep zeroed
+rows/columns.  Each partition is one `Side` record in `Engine.sides`:
 assignment, per-slot sizes, margins and active mask, cluster count k,
 vertex count n, vertex degrees and a per-vertex adjacency built on first
 use.  `Engine.rows(side)` is M for sources and the view M.T for targets, so
@@ -74,17 +75,14 @@ class Engine:
                 model.k_target, sample.n_target, sample.in_degrees, sample.tgt_idx,
             ),
         }
-        self._ensure_lf()
+        # cluster counts never grow while the engine lives, so the table is read once
+        kE = model.k_source * model.k_target
+        self.lf = self.cache.factorial_table(self.m + max(kE, sample.n_source, sample.n_target) + 2)
         # warm the partition-count rows up to the initial cluster counts
         for s in self.sides.values():
             self.cache.log_partition_count(s.n, s.k)
 
     # -- shared tables ------------------------------------------------------
-
-    def _ensure_lf(self):
-        src, tgt = self.sides["source"], self.sides["target"]
-        top = self.m + max(src.k * tgt.k, src.n, tgt.n) + 2
-        self.lf = self.cache.factorial_table(top)
 
     def _logB(self, n, k):
         return self.cache.log_partition_count(n, k)
@@ -106,7 +104,6 @@ class Engine:
 
     def criterion_terms(self):
         """The eight additive terms of the evaluation criterion, in nats."""
-        self._ensure_lf()
         lf = self.lf
         src, tgt = self.sides["source"], self.sides["target"]
         sidx = np.flatnonzero(src.active)
@@ -138,7 +135,7 @@ class Engine:
 
     def merge_global(self, side):
         """Criterion delta of the k-dependent terms for one merge on `side`."""
-        dB, dC = self._count_change(side, -1)
+        dB, dC = self._count_change(side)
         return float(dB + dC)
 
     def merge_struct(self, side, a, b):
@@ -167,9 +164,6 @@ class Engine:
         d = d + (lf_mab - lf_ma - lf_mb)
         return d if d.ndim else float(d)
 
-    def merge_delta(self, side, a, b):
-        return self.merge_struct(side, a, b) + self.merge_global(side)
-
     def apply_merge(self, side, a, b):
         """Fuse clusters a and b on `side`; the lower slot id survives."""
         keep, drop = (a, b) if a < b else (b, a)
@@ -195,20 +189,11 @@ class Engine:
             s.csr = (np.cumsum(indptr), other, self.sample.counts[order])
         return s.csr
 
-    def vertex_profile(self, side, v):
-        """Other-side cluster slots touched by vertex v, with edge counts."""
-        indptr, other, cnt = self._vertex_csr(side)
-        lo, hi = indptr[v], indptr[v + 1]
-        assign = self.sides[OTHER_SIDE[side]].assign
-        cap = self.rows(side).shape[1]
-        dense = np.bincount(assign[other[lo:hi]], weights=cnt[lo:hi], minlength=cap).astype(np.int64)
-        cols = np.flatnonzero(dense)
-        return cols, dense[cols]
-
     def vertex_profiles(self, side):
         """(cols, cnts, gain) profile of every vertex on `side`, in one pass over its edges.
 
-        cols and cnts are the vertex's `vertex_profile`.  The profiles hold
+        cols and cnts are the other-side cluster slots that the vertex
+        touches, ascending, and its edge counts into them.  The profiles hold
         while the other side's partition is unchanged, as during a sweep
         over `side`.  gain is None, or (table, offsets) with
         table[offsets[i] + x] == lf[x] - lf[x + cnts[i]] for every count x
@@ -268,17 +253,17 @@ class Engine:
             base += at(ma - dv + na - 2) - at(na - 2) - lf_rest
         else:
             # cluster a disappears: the cluster-count terms change
-            dB, dC = self._count_change(side, -1)
+            dB, dC = self._count_change(side)
             base += dB
             base += dC
         return dv, base
 
-    def _count_change(self, side, step):
-        """Deltas (partition prior, cocluster prior) of `side` gaining `step` (+-1) clusters."""
+    def _count_change(self, side):
+        """Deltas (partition prior, cocluster prior) of `side` losing one cluster."""
         s = self.sides[side]
         k, k_other = s.k, self.sides[OTHER_SIDE[side]].k
-        kE_old, kE_new = k * k_other, (k + step) * k_other
-        dB = self._logB(s.n, k + step) - self._logB(s.n, k)
+        kE_old, kE_new = k * k_other, (k - 1) * k_other
+        dB = self._logB(s.n, k - 1) - self._logB(s.n, k)
         dC = self._lnC(self.m + kE_new - 1, kE_new - 1) - self._lnC(self.m + kE_old - 1, kE_old - 1)
         return dB, float(dC)
 
@@ -291,10 +276,10 @@ class Engine:
         nc1 = nc - 1
         return DestTerms(slots, mc, nc, lf_mc, lf[nc], lf[mc + nc1] - lf[nc1] - lf_mc)
 
-    def _move_deltas(self, side, v, dests, profile=None):
+    def _move_deltas(self, side, v, dests, profile):
         """Deltas of moving vertex v into each slot of `dests`, a `dest_terms` record.
 
-        `profile` is v's (cols, cnts, gain) from `vertex_profiles`, if known.
+        `profile` is v's (cols, cnts, gain) entry of `vertex_profiles`.
         v's own slot, if among the destinations, gets +inf.  The destination
         block is gathered as M[:, cols][slots]: two single-axis gathers that
         give the same C-ordered block as np.ix_, on both sides, so each row
@@ -303,7 +288,7 @@ class Engine:
         lookups can run past the factorial table, hence the clipped reads;
         its entry is masked.
         """
-        cols, cnts, gain = profile if profile is not None else (*self.vertex_profile(side, v), None)
+        cols, cnts, gain = profile
         dv, base = self._removal_base(side, v, cols, cnts)
         lf = self.lf
         sub = self.rows(side)[:, cols][dests.slots]
@@ -324,10 +309,10 @@ class Engine:
         deltas[dests.slots == self.sides[side].assign[v]] = np.inf
         return deltas
 
-    def move_options(self, side, v, profile=None):
+    def move_options(self, side, v, profile):
         """Deltas of moving vertex v to every other active cluster on `side`.
 
-        `profile` is v's entry of `vertex_profiles`, if known.  Returns (current
+        `profile` is v's entry of `vertex_profiles`.  Returns (current
         cluster, destination slots, delta array).
         """
         s = self.sides[side]
@@ -339,40 +324,15 @@ class Engine:
         deltas = self._move_deltas(side, v, self.dest_terms(side, slots), profile)
         return a, slots[others], deltas[others]
 
-    def move_delta(self, side, v, dest):
-        """Delta of moving vertex v to cluster `dest` (None = fresh cluster)."""
-        s = self.sides[side]
-        a = s.assign[v]
-        if dest is not None and dest == a:
-            return 0.0
-        if dest is None and s.sizes[a] == 1:
-            # singleton to fresh cluster: pure relabeling
-            return 0.0
-        if dest is not None:
-            if not s.active[dest]:
-                raise ValueError(f"destination cluster {dest} is not active")
-            return float(self._move_deltas(side, v, self.dest_terms(side, np.array([dest])))[0])
-        cols, cnts = self.vertex_profile(side, v)
-        dv, base = self._removal_base(side, v, cols, cnts)
-        lf = self.lf
-        d6 = float(-lf[cnts].sum())
-        d7 = float(lf[dv])
-        dB, dC = self._count_change(side, 1)
-        return base + d6 + d7 + (dB + dC)
+    def apply_move(self, side, v, dest, profile):
+        """Move vertex v into `dest`, another active cluster on `side`.
 
-    def apply_move(self, side, v, dest, profile=None):
-        """Move vertex v to cluster `dest` (None = fresh slot); returns the slot.
-
-        `profile` is v's entry of `vertex_profiles`, if known.
+        `profile` is v's entry of `vertex_profiles`.
         """
         s = self.sides[side]
-        cols, cnts = profile[:2] if profile is not None else self.vertex_profile(side, v)
+        cols, cnts = profile[:2]
         dv = int(s.degrees[v])
         a = s.assign[v]
-        if dest is None:
-            dest = self._grow_slot(side)
-        if dest == a:
-            return a
         M = self.rows(side)
         M[a][cols] -= cnts
         M[dest][cols] += cnts
@@ -384,26 +344,6 @@ class Engine:
         if s.sizes[a] == 0:
             s.active[a] = False
             s.k -= 1
-        return dest
-
-    def _grow_slot(self, side):
-        """Activate a fresh slot, extending the matrix if needed."""
-        s = self.sides[side]
-        inactive = np.flatnonzero(~s.active)
-        if len(inactive):
-            slot = int(inactive[-1])  # highest slot => highest compact id
-        else:
-            slot = len(s.active)
-            grow = [(0, 0), (0, 0)]
-            grow[0 if side == "source" else 1] = (0, 1)
-            self.M = np.pad(self.M, grow)
-            s.sizes = np.append(s.sizes, 0)
-            s.margin = np.append(s.margin, 0)
-            s.active = np.append(s.active, False)
-        s.active[slot] = True
-        s.k += 1
-        self._ensure_lf()
-        return slot
 
     # -- export -------------------------------------------------------------------
 

@@ -97,10 +97,6 @@ def _load_model(args):
     except ModelError as exc:
         code = EXIT_AUDIT if "consistency audit failed" in str(exc) else EXIT_INPUT
         raise CliError(code, str(exc)) from exc
-    try:
-        model.verify_consistent(sample)
-    except ModelError as exc:
-        raise CliError(EXIT_AUDIT, str(exc)) from exc
     return model, sample, data
 
 

@@ -22,9 +22,6 @@ __all__ = [
     "Coclustering",
     "NEW_CLUSTER",
     "from_partitions",
-    "criterion",
-    "merge",
-    "move",
     "null_model",
     "maximal_model",
 ]
@@ -164,13 +161,17 @@ class Coclustering:
         if a == b or not (0 <= a < k and 0 <= b < k):
             raise ModelError(f"invalid {side} cluster pair ({a}, {b})")
         eng = Engine(self)
-        delta = eng.merge_delta(side, a, b)
+        delta = eng.merge_struct(side, a, b) + eng.merge_global(side)
         eng.apply_merge(side, a, b)
         s, t = eng.compact_assignments()
         return Coclustering(self.sample, s, t), float(delta)
 
     def move(self, side: str, vertex: int, dest):
-        """Move a vertex to cluster `dest` (or NEW_CLUSTER); returns (model, delta)."""
+        """Move a vertex to cluster `dest` (or NEW_CLUSTER); returns (model, delta).
+
+        The delta is the sweeps' move delta.  A move into a fresh cluster is
+        scored as minus the move back into the vertex's old cluster.
+        """
         _check_side(side)
         n = self.sample.n_source if side == "source" else self.sample.n_target
         k = self.k_source if side == "source" else self.k_target
@@ -180,13 +181,22 @@ class Coclustering:
         if not fresh and not 0 <= dest < k:
             raise ModelError(f"invalid {side} destination cluster {dest}")
         assign = self.source_assignment if side == "source" else self.target_assignment
-        if not fresh and dest == assign[vertex]:
+        a = int(assign[vertex])
+        if not fresh and dest == a:
             return self, 0.0
-        eng = Engine(self)
-        delta = eng.move_delta(side, vertex, None if fresh else dest)
-        eng.apply_move(side, vertex, None if fresh else dest)
-        s, t = eng.compact_assignments()
-        return Coclustering(self.sample, s, t), float(delta)
+        new = assign.copy()
+        new[vertex] = k if fresh else dest
+        # close the gap that an emptied cluster leaves
+        new = np.unique(new, return_inverse=True)[1]
+        s, t = (new, self.target_assignment) if side == "source" else (self.source_assignment, new)
+        moved = Coclustering(self.sample, s, t)
+        if not fresh:
+            delta = _move_delta(self, side, vertex, dest)
+        elif np.count_nonzero(assign == a) > 1:
+            delta = -_move_delta(moved, side, vertex, a)
+        else:
+            delta = 0.0  # a singleton into a fresh cluster is a relabelling
+        return moved, delta
 
     # -- audits ---------------------------------------------------------------
 
@@ -251,6 +261,13 @@ class Coclustering:
         return f"Coclustering(k_source={self.k_source}, k_target={self.k_target}, m={self.sample.m})"
 
 
+def _move_delta(model: Coclustering, side: str, vertex: int, dest: int) -> float:
+    """Delta of moving `vertex` into the existing cluster `dest`, scored as a sweep scores it."""
+    eng = Engine(model)
+    _, dests, deltas = eng.move_options(side, vertex, eng.vertex_profiles(side)[vertex])
+    return float(deltas[dests == dest][0])
+
+
 def _stored_grid(cells, shape) -> np.ndarray | None:
     """The grid of stored [i, j, count] cells, or None if no grid of `shape` holds them."""
     stored = np.array(cells, dtype=np.int64)
@@ -267,18 +284,6 @@ def _stored_grid(cells, shape) -> np.ndarray | None:
 def from_partitions(sample, source_partition, target_partition) -> Coclustering:
     """Build a model from explicit partitions (assignment arrays or label clusters)."""
     return Coclustering(sample, source_partition, target_partition)
-
-
-def criterion(model: Coclustering) -> CriterionBreakdown:
-    return model.criterion()
-
-
-def merge(model: Coclustering, side: str, a: int, b: int):
-    return model.merge(side, a, b)
-
-
-def move(model: Coclustering, side: str, vertex: int, dest):
-    return model.move(side, vertex, dest)
 
 
 def null_model(sample: MultigraphSample) -> Coclustering:

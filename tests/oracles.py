@@ -202,20 +202,31 @@ def replayed_models(model, merges):
 # -- vertex moves, per-vertex np.ix_ form -------------------------------------------
 
 
+def ix_profile(eng, side, v):
+    """(cols, cnts) of vertex v of `side`: the other-side cluster slots it
+    touches and its edge counts into them, from a bincount over the sample."""
+    sample = eng.sample
+    if side == "source":
+        own, other, other_assign = sample.src_idx, sample.tgt_idx, eng.sides["target"].assign
+    else:
+        own, other, other_assign = sample.tgt_idx, sample.src_idx, eng.sides["source"].assign
+    mine = own == v
+    dense = np.bincount(other_assign[other[mine]], weights=sample.counts[mine]).astype(np.int64)
+    cols = np.flatnonzero(dense)
+    return cols, dense[cols]
+
+
 def ix_move_options(eng, side, v):
     """(current cluster, destination slots, deltas) of moving vertex v of
     `side` to every other active cluster, written the direct way: a fresh
     profile per vertex, NumPy-scalar removal terms and an np.ix_ gather of
     the destination block."""
-    sample = eng.sample
     src, tgt = eng.sides["source"], eng.sides["target"]
     if side == "source":
         assign, sizes, margin, active, M, n = src.assign, src.sizes, src.margin, src.active, eng.M, src.n
-        own, other, other_assign = sample.src_idx, sample.tgt_idx, tgt.assign
         k, k_other = src.k, tgt.k
     else:
         assign, sizes, margin, active, M, n = tgt.assign, tgt.sizes, tgt.margin, tgt.active, eng.M.T, tgt.n
-        own, other, other_assign = sample.tgt_idx, sample.src_idx, src.assign
         k, k_other = tgt.k, src.k
     lf = eng.lf
 
@@ -227,11 +238,7 @@ def ix_move_options(eng, side, v):
     dests = dests[dests != a]
     if len(dests) == 0:
         return a, dests, np.empty(0)
-    mine = own == v
-    dense = np.bincount(other_assign[other[mine]], weights=sample.counts[mine], minlength=M.shape[1])
-    dense = dense.astype(np.int64)
-    cols = np.flatnonzero(dense)
-    cnts = dense[cols]
+    cols, cnts = ix_profile(eng, side, v)
     # removal of v from its cluster a
     dv = int(cnts.sum())
     na, ma = int(sizes[a]), int(margin[a])
@@ -272,7 +279,7 @@ def ix_post_optimize(model, passes=2):
                     continue
                 best = int(np.argmin(deltas))
                 if deltas[best] < 0.0:
-                    eng.apply_move(side, v, int(dests[best]))
+                    eng.apply_move(side, v, int(dests[best]), ix_profile(eng, side, v))
                     moved = True
         if not moved:
             break

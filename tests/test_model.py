@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from modlcc import _engine
+from modlcc.combinatorics import CombinatoricsCache
 from modlcc.graph import MultigraphSample, parse_edge_list
 from modlcc.model import (
     Coclustering,
@@ -12,6 +14,7 @@ from modlcc.model import (
     maximal_model,
     null_model,
 )
+from modlcc.synthgen import gen_block_diagonal
 
 from oracles import (
     oracle_criterion,
@@ -151,6 +154,19 @@ def test_move_incremental_equals_recompute():
         full = moved.criterion().total - model.criterion().total
         assert delta == pytest.approx(full, abs=1e-9)
         checked += 1
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_move_to_new_cluster_on_a_fresh_table(monkeypatch, side):
+    # the fresh cluster raises kS*kT past the table that the model's own
+    # cluster counts size
+    monkeypatch.setattr(_engine, "shared_cache", CombinatoricsCache())
+    sample = gen_block_diagonal(60, 3, 0.5, m=3000, seed=0)[0]
+    rng = np.random.default_rng(0)
+    model = Coclustering(sample, rng.permutation(np.arange(60) % 10), rng.permutation(np.arange(60) % 10))
+    moved, delta = model.move(side, 0, NEW_CLUSTER)
+    assert (moved.k_source, moved.k_target) == ((11, 10) if side == "source" else (10, 11))
+    assert delta == pytest.approx(moved.criterion().total - model.criterion().total, abs=1e-9)
 
 
 def test_move_to_own_cluster_is_noop():

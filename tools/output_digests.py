@@ -10,6 +10,8 @@ outputs are
 - `vns_fit(rounds=3).to_dict()` on the 800 fit-batch graphs of seeds 1-2,
   one digest per seed over all graphs in order;
 - the cut file of `modlcc coarsen` on the explore input, seeds 1-3;
+- the report file of `modlcc evaluate --modularity` on the explore input,
+  seeds 1-3, as the benchmark's explore workload calls it;
 - the golden fits of `tests/test_optimizer.py`, hashed as that test hashes
   them, so the digests read against its `GOLDEN_FITS`.
 
@@ -77,6 +79,9 @@ def main():
             out = os.path.join(work, "cut.json")
             argv = ["coarsen", model, edges, "--clusters", "%d,%d" % inputs.EXPLORE_CLUSTERS, "-o", out]
             print(f"explore seed {seed}: {cli_file(argv, out)}", flush=True)
+            report = os.path.join(work, "evaluate.json")
+            argv = ["evaluate", model, edges, "--modularity", "-o", report]
+            print(f"evaluate seed {seed}: {cli_file(argv, report)}", flush=True)
     for m in GOLDEN_M:
         sample, _ = gen_block_diagonal(300, 4, 0.5, m=m, seed=3)
         print(f"golden m={m}: {sha256(doc_bytes(vns_fit(sample, FitConfig(rounds=2, seed=1))))}", flush=True)
