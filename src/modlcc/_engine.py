@@ -6,8 +6,9 @@ per-slot arrays keep the shape they are built with: slots are never added
 or renumbered while the engine lives, and deactivated slots keep zeroed
 rows/columns.  Each partition is one `Side` record in `Engine.sides`:
 assignment, per-slot sizes, margins and active mask, cluster count k,
-vertex count n, vertex degrees and a per-vertex adjacency built on first
-use.  `Engine.rows(side)` is M for sources and the view M.T for targets, so
+vertex count n, vertex degrees and its vertex of each sample cell.  The
+sweeps read the sample's cell arrays directly, with no second copy of the
+edges.  `Engine.rows(side)` is M for sources and the view M.T for targets, so
 every operation reads its own side's slots along axis 0 and is written once
 for both sides.  An engine starts from a `Coclustering`'s grid, sizes and
 margins; it never counts the sample itself.  All criterion deltas are
@@ -42,7 +43,6 @@ class Side:
     n: int  # vertices
     degrees: np.ndarray  # vertex -> edge count
     idx: np.ndarray  # this side's vertex of each sample cell
-    csr: tuple | None = None  # per-vertex (indptr, other-side vertex, count), built on first use
 
 
 @dataclass(eq=False)
@@ -178,17 +178,6 @@ class Engine:
 
     # -- vertex moves -------------------------------------------------------------
 
-    def _vertex_csr(self, side):
-        """Per-vertex adjacency (other-side vertex indices and counts)."""
-        s = self.sides[side]
-        if s.csr is None:
-            order = np.argsort(s.idx, kind="stable")
-            own, other = s.idx[order], self.sides[OTHER_SIDE[side]].idx[order]
-            indptr = np.zeros(s.n + 1, dtype=np.int64)
-            np.add.at(indptr, own + 1, 1)
-            s.csr = (np.cumsum(indptr), other, self.sample.counts[order])
-        return s.csr
-
     def vertex_profiles(self, side):
         """(cols, cnts, gain) profile of every vertex on `side`, in one pass over its edges.
 
@@ -201,15 +190,14 @@ class Engine:
         likelihood term with one lookup in place of two.  The table is built
         when it is smaller than the move blocks it serves.
         """
-        indptr, other, cnt = self._vertex_csr(side)
-        assign = self.sides[OTHER_SIDE[side]].assign
+        s, o = self.sides[side], self.sides[OTHER_SIDE[side]]
         cap = self.rows(side).shape[1]
-        starts = np.arange(len(indptr), dtype=np.int64) * cap
-        keys, inverse = np.unique(np.repeat(starts[:-1], np.diff(indptr)) + assign[other], return_inverse=True)
-        cnts = np.bincount(inverse, weights=cnt, minlength=len(keys)).astype(np.int64)
+        # one key per (vertex, other-side slot); the float sums of integer counts are exact
+        keys, inverse = np.unique(s.idx * cap + o.assign[o.idx], return_inverse=True)
+        cnts = np.bincount(inverse, weights=self.sample.counts, minlength=len(keys)).astype(np.int64)
         cols = keys % cap
         gain = self._gain_table(side, cnts)
-        ptr = np.searchsorted(keys, starts).tolist()
+        ptr = np.searchsorted(keys, np.arange(s.n + 1, dtype=np.int64) * cap).tolist()
         spans = [slice(lo, hi) for lo, hi in zip(ptr[:-1], ptr[1:])]
         if gain is None:
             return [(cols[sp], cnts[sp], None) for sp in spans]

@@ -47,16 +47,6 @@ class ExperimentSpec:
     rounds: int = 10
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "sizes": list(self.sizes),
-            "reps": self.reps,
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "params": dict(self.params),
-        }
-
 
 DESK_CONVERGENCE = ExperimentSpec(
     family="circular", sizes=[100, 1000, 10000], reps=3, params={"n": 100}

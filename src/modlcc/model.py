@@ -9,7 +9,6 @@ lower is better, values are in nats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -78,9 +77,9 @@ class CriterionBreakdown:
 
 def _normalize_partition(partition, labels, n, what) -> np.ndarray:
     """Accept an assignment array or an iterable of clusters (labels/indices)."""
-    label_index = {lab: i for i, lab in enumerate(labels)}
-    part = list(partition)
-    if part and not np.isscalar(part[0]) and isinstance(part[0], (list, tuple, set, frozenset)):
+    part = partition if isinstance(partition, np.ndarray) else list(partition)
+    if len(part) and isinstance(part[0], (list, tuple, set, frozenset)):
+        label_index = {lab: i for i, lab in enumerate(labels)}
         assign = -np.ones(n, dtype=np.int64)
         for cid, cluster in enumerate(part):
             for v in cluster:
@@ -91,7 +90,8 @@ def _normalize_partition(partition, labels, n, what) -> np.ndarray:
                     raise ModelError(f"{what} vertex {v!r} assigned twice")
                 assign[idx] = cid
     else:
-        assign = np.asarray(part, dtype=np.int64)
+        # a copy: the model never shares its assignment with the caller
+        assign = np.array(part, dtype=np.int64)
         if assign.shape != (n,):
             raise ModelError(f"{what} assignment must cover all {n} vertices")
     if np.any(assign < 0):
@@ -135,11 +135,6 @@ class Coclustering:
         self.target_cluster_margins = grid.sum(axis=0)
         self._criterion: CriterionBreakdown | None = None
 
-    @cached_property
-    def cocluster_counts(self) -> dict[tuple[int, int], int]:
-        """Nonzero cells of `cocluster_grid` as {(i, j): count}, built on first read."""
-        return {(i, j): c for i, j, c in self._cells()}
-
     def _cells(self) -> list[list[int]]:
         """[i, j, count] of every nonzero grid cell, in ascending (i, j) order."""
         i, j = np.nonzero(self.cocluster_grid)
@@ -177,7 +172,7 @@ class Coclustering:
         k = self.k_source if side == "source" else self.k_target
         if not 0 <= vertex < n:
             raise ModelError(f"{side} vertex {vertex} out of range")
-        fresh = dest == NEW_CLUSTER or dest is None
+        fresh = dest == NEW_CLUSTER
         if not fresh and not 0 <= dest < k:
             raise ModelError(f"invalid {side} destination cluster {dest}")
         assign = self.source_assignment if side == "source" else self.target_assignment
@@ -200,9 +195,8 @@ class Coclustering:
 
     # -- audits ---------------------------------------------------------------
 
-    def verify_consistent(self, sample: MultigraphSample | None = None):
-        """Recompute all counts from the sample and compare (consistency audit)."""
-        sample = sample or self.sample
+    def verify_consistent(self, sample: MultigraphSample):
+        """Recompute all counts from `sample` and compare (consistency audit)."""
         if sample.n_source != self.sample.n_source or sample.n_target != self.sample.n_target:
             raise ModelError("consistency audit failed: vertex universes differ")
         other = Coclustering(sample, self.source_assignment, self.target_assignment)
@@ -225,12 +219,12 @@ class Coclustering:
 
     # -- serialization ------------------------------------------------------------
 
-    def to_dict(self, seed=None, tool_version=None) -> dict:
+    def to_dict(self, seed=None) -> dict:
         from . import __version__
 
         return {
             "format_version": 1,
-            "tool_version": tool_version or __version__,
+            "tool_version": __version__,
             "seed": seed,
             "source_labels": self.sample.source_labels,
             "target_labels": self.sample.target_labels,

@@ -273,7 +273,7 @@ def post_optimize(model: Coclustering, passes: int = 2) -> Coclustering:
 # -- multi-start -------------------------------------------------------------------
 
 
-def vns_fit(sample, config: FitConfig | None = None, progress=None) -> FitResult:
+def vns_fit(sample, config: FitConfig | None = None) -> FitResult:
     """Multi-start search: per round, random initial solution, move
     pre-optimization, greedy merging, move post-optimization; keep the best."""
     config = config or FitConfig()
@@ -299,7 +299,7 @@ def vns_fit(sample, config: FitConfig | None = None, progress=None) -> FitResult
         s, t = eng.compact_assignments()
         fitted = Coclustering(sample, s, t)
         elapsed = time.perf_counter() - t0
-        log = RoundLog(
+        logs.append(RoundLog(
             round=r,
             seed=config.seed,
             initial_k_source=model.k_source,
@@ -308,10 +308,7 @@ def vns_fit(sample, config: FitConfig | None = None, progress=None) -> FitResult
             final_k_target=fitted.k_target,
             criterion=total,
             seconds=elapsed,
-        )
-        logs.append(log)
-        if progress is not None:
-            progress(log)
+        ))
         if total < best_total:
             best_total = total
             best_model = fitted

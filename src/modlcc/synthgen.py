@@ -104,6 +104,8 @@ def gen_block_diagonal(n: int, k: int, noise_rate: float, m: int, seed):
     otherwise a uniform source vertex with a uniform target in its block.
     Returns (sample, block labels per vertex).
     """
+    if k < 1:
+        raise GeneratorError(f"block count {k} must be >= 1")
     if k > n:
         raise GeneratorError(f"block count {k} exceeds vertex count {n}")
     if not 0.0 <= noise_rate <= 1.0:
@@ -155,6 +157,8 @@ def gen_undirected_pattern(cluster_count: int, cluster_size: int, intra: float, 
 
     Returns (sample, cluster labels per vertex).
     """
+    if cluster_count < 1 or cluster_size < 1:
+        raise GeneratorError("cluster count and cluster size must be >= 1")
     for p, name in ((intra, "intra"), (inter, "inter")):
         if not 0.0 <= p <= 1.0:
             raise GeneratorError(f"{name} proportion must be in [0, 1]")

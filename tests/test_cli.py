@@ -73,6 +73,25 @@ def test_generate_invalid_params_exit_2(tmp_path, capsys):
     assert "block count" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("block-diagonal", "--blocks", "0"),
+    ("block-diagonal", "--blocks", "-1"),
+    ("undirected-pattern", "--cluster-size", "-2"),
+    ("undirected-pattern", "--clusters", "0"),
+])
+def test_generate_empty_or_negative_cluster_counts_exit_2(tmp_path, capsys, argv):
+    code, _, err = run(capsys, "generate", *argv, "--m", "10", "-o", str(tmp_path / "x"))
+    assert code == 2
+    assert "must be >= 1" in err
+
+
+def test_bench_clusters_zero_blocks_exit_2(tmp_path, capsys):
+    code, _, err = run(capsys, "bench", "clusters", "--sizes", "20", "--reps", "1", "--rounds", "1",
+                       "--n", "6", "--blocks", "0", "-o", str(tmp_path / "c.csv"))
+    assert code == 2
+    assert "block count 0 must be >= 1" in err
+
+
 def test_fit_summary_and_model(tmp_path, capsys):
     prefix, model_path, out = gen_and_fit(tmp_path, capsys)
     assert "clusters: 2 x 2" in out

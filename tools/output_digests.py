@@ -13,7 +13,10 @@ outputs are
 - the report file of `modlcc evaluate --modularity` on the explore input,
   seeds 1-3, as the benchmark's explore workload calls it;
 - the golden fits of `tests/test_optimizer.py`, hashed as that test hashes
-  them, so the digests read against its `GOLDEN_FITS`.
+  them, so the digests read against its `GOLDEN_FITS`;
+- `build_dendrogram(...).to_dict()` of a tie-heavy ER case: 1000 vertices
+  and 3000 edges, the sources in 5 random clusters and the targets as
+  singletons, so that thousands of equal-degree pairs tie at each merge.
 
 The program is imported from this checkout's `src/`, and the inputs are
 built by the benchmark's own `perfbench/inputs.py`, with the same calls
@@ -28,13 +31,15 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import inputs  # noqa: E402
-from modlcc import FitConfig, parse_edge_list, vns_fit  # noqa: E402
+from modlcc import Coclustering, FitConfig, build_dendrogram, parse_edge_list, vns_fit  # noqa: E402
 from modlcc.cli import main as cli_main  # noqa: E402
-from modlcc.synthgen import gen_block_diagonal  # noqa: E402
+from modlcc.synthgen import gen_block_diagonal, gen_blockmodel  # noqa: E402
 
 BATCH_GRAPHS = 800
 GOLDEN_M = (20_000, 40_000)
@@ -85,6 +90,11 @@ def main():
     for m in GOLDEN_M:
         sample, _ = gen_block_diagonal(300, 4, 0.5, m=m, seed=3)
         print(f"golden m={m}: {sha256(doc_bytes(vns_fit(sample, FitConfig(rounds=2, seed=1))))}", flush=True)
+    sample, _ = gen_blockmodel(np.ones((1, 1)), [1000], 3000, seed=0)
+    source = np.random.default_rng(0).integers(0, 5, sample.n_source)
+    source[:5] = np.arange(5)
+    dend = build_dendrogram(Coclustering(sample, source, np.arange(sample.n_target)))
+    print(f"tied dendrogram: {sha256(json.dumps(dend.to_dict(), sort_keys=True).encode())}", flush=True)
 
 
 if __name__ == "__main__":
