@@ -1,19 +1,20 @@
 """Internal mutable coclustering state with incremental criterion updates.
 
-The engine keeps a dense cluster-level contingency matrix `M` over slot ids,
-source slots along axis 0 and target slots along axis 1.  `M` and the
-per-slot arrays keep the shape they are built with: slots are never added
-or renumbered while the engine lives, and deactivated slots keep zeroed
-rows/columns.  Each partition is one `Side` record in `Engine.sides`:
-assignment, per-slot sizes, margins and active mask, cluster count k,
-vertex count n, vertex degrees and its vertex of each sample cell.  The
-sweeps read the sample's cell arrays directly, with no second copy of the
-edges.  `Engine.rows(side)` is M for sources and the view M.T for targets, so
-every operation reads its own side's slots along axis 0 and is written once
-for both sides.  An engine starts from a `Coclustering`'s grid, sizes and
-margins; it never counts the sample itself.  All criterion deltas are
-computed from log-factorial table lookups, so incremental and full
-evaluations agree to rounding.
+The engine keeps a dense cluster-level contingency matrix `M`, source
+clusters along axis 0 and target clusters along axis 1.  Cluster ids are
+always the compact ids 0..k-1 of the current partition: when a merge or a
+move empties a cluster, its row (or column) of `M` and its margin and size
+entries are deleted in place, and every cluster above it moves down one
+id, in order.  The arrays are views that only shrink.  Each partition is one
+`Side` record in `Engine.sides`: assignment, per-cluster sizes and margins,
+cluster count k, vertex count n, vertex degrees and its vertex of each
+sample cell.  The sweeps read the sample's cell arrays directly, with no
+second copy of the edges.  `Engine.rows(side)` is M for sources and the
+view M.T for targets, so every operation reads its own side's clusters
+along axis 0 and is written once for both sides.  An engine starts from a
+`Coclustering`'s grid, sizes and margins; it never counts the sample
+itself.  All criterion deltas are computed from log-factorial table
+lookups, so incremental and full evaluations agree to rounding.
 """
 
 from __future__ import annotations
@@ -23,23 +24,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import CombinatoricsCache, shared_cache
+from .combinatorics import shared_cache
 
-# each side's opposite, whose slots index the columns of `Engine.rows(side)`
+# each side's opposite, whose clusters index the columns of `Engine.rows(side)`
 OTHER_SIDE = {"source": "target", "target": "source"}
 # entries of the largest per-sweep gain table (2 MB)
 _GAIN_TABLE_MAX = 1 << 18
 
 
+def shift_out(x, i):
+    """Delete entry i along axis 0 of `x` in place: the entries above it move
+    down one, and the returned view is one shorter."""
+    x[i:-1] = x[i + 1 :]
+    return x[:-1]
+
+
 @dataclass(eq=False)
 class Side:
-    """One partition's state, by slot id."""
+    """One partition's state, by cluster id."""
 
-    assign: np.ndarray  # vertex -> slot
-    sizes: np.ndarray  # slot -> vertex count
-    margin: np.ndarray  # slot -> edge count: the slot's row sum in `Engine.rows`
-    active: np.ndarray  # slot -> holds a cluster
-    k: int  # active slots
+    assign: np.ndarray  # vertex -> cluster
+    sizes: np.ndarray  # cluster -> vertex count
+    margin: np.ndarray  # cluster -> edge count: the cluster's row sum in `Engine.rows`
+    k: int  # clusters
     n: int  # vertices
     degrees: np.ndarray  # vertex -> edge count
     idx: np.ndarray  # this side's vertex of each sample cell
@@ -47,9 +54,8 @@ class Side:
 
 @dataclass(eq=False)
 class DestTerms:
-    """Per-destination terms of the move deltas into `slots`, from the counts at build time."""
+    """Per-destination terms of the move deltas into every cluster, from the counts at build time."""
 
-    slots: np.ndarray
     mc: np.ndarray  # margins
     nc: np.ndarray  # sizes
     lf_mc: np.ndarray  # lf[mc]
@@ -58,21 +64,21 @@ class DestTerms:
 
 
 class Engine:
-    def __init__(self, model, cache: CombinatoricsCache | None = None):
+    def __init__(self, model):
         self.sample = sample = model.sample
-        self.cache = cache or shared_cache
+        self.cache = shared_cache
         self.m = sample.m
         self.M = model.cocluster_grid.copy()
         self.sides = {
             "source": Side(
                 model.source_assignment.copy(), model.source_cluster_sizes.astype(np.int64),
-                model.source_cluster_margins.copy(), np.ones(model.k_source, dtype=bool),
-                model.k_source, sample.n_source, sample.out_degrees, sample.src_idx,
+                model.source_cluster_margins.copy(), model.k_source,
+                sample.n_source, sample.out_degrees, sample.src_idx,
             ),
             "target": Side(
                 model.target_assignment.copy(), model.target_cluster_sizes.astype(np.int64),
-                model.target_cluster_margins.copy(), np.ones(model.k_target, dtype=bool),
-                model.k_target, sample.n_target, sample.in_degrees, sample.tgt_idx,
+                model.target_cluster_margins.copy(), model.k_target,
+                sample.n_target, sample.in_degrees, sample.tgt_idx,
             ),
         }
         # cluster counts never grow while the engine lives, so the table is read once
@@ -93,11 +99,8 @@ class Engine:
 
     # -- views ---------------------------------------------------------------
 
-    def active_slots(self, side):
-        return np.flatnonzero(self.sides[side].active)
-
     def rows(self, side):
-        """The contingency with `side`'s slots along axis 0: M or its transposed view."""
+        """The contingency with `side`'s clusters along axis 0: M or its transposed view."""
         return self.M if side == "source" else self.M.T
 
     # -- criterion ------------------------------------------------------------
@@ -106,26 +109,23 @@ class Engine:
         """The eight additive terms of the evaluation criterion, in nats."""
         lf = self.lf
         src, tgt = self.sides["source"], self.sides["target"]
-        sidx = np.flatnonzero(src.active)
-        tidx = np.flatnonzero(tgt.active)
         kE = src.k * tgt.k
         t1 = math.log(src.n) + math.log(tgt.n)
         t2 = self._logB(src.n, src.k) + self._logB(tgt.n, tgt.k)
         t3 = float(self._lnC(self.m + kE - 1, kE - 1))
 
-        def margin_prior(s, idx):
-            mar, sz = s.margin[idx], s.sizes[idx]
+        def margin_prior(s):
+            mar, sz = s.margin, s.sizes
             return float((lf[mar + sz - 1] - lf[sz - 1] - lf[mar]).sum())
 
-        def degree_likelihood(s, idx):
-            return float(lf[s.margin[idx]].sum() - lf[s.degrees].sum())
+        def degree_likelihood(s):
+            return float(lf[s.margin].sum() - lf[s.degrees].sum())
 
-        t4 = margin_prior(src, sidx)
-        t5 = margin_prior(tgt, tidx)
-        sub = self.M[np.ix_(sidx, tidx)]
-        t6 = float(lf[self.m] - lf[sub].sum())
-        t7 = degree_likelihood(src, sidx)
-        t8 = degree_likelihood(tgt, tidx)
+        t4 = margin_prior(src)
+        t5 = margin_prior(tgt)
+        t6 = float(lf[self.m] - lf[self.M].sum())
+        t7 = degree_likelihood(src)
+        t8 = degree_likelihood(tgt)
         return (t1, t2, t3, t4, t5, t6, t7, t8)
 
     def criterion_total(self):
@@ -141,12 +141,13 @@ class Engine:
     def merge_struct(self, side, a, b):
         """k-independent part of the merge delta (margin priors + likelihood).
 
-        a and b are two slots, or two equal-length arrays of slots; an array
-        of pairs comes back as an array of deltas, each scored with the
-        arithmetic of a single pair.
+        a and b are two clusters, or two equal-length arrays of clusters; an
+        array of pairs comes back as an array of deltas, each scored with
+        the arithmetic of a single pair.
         """
         s = self.sides[side]
-        if not (s.active[a] & s.active[b] & (a != b)).all():
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        if not np.all((0 <= lo) & (lo < hi) & (hi < s.k)):
             raise ValueError(f"invalid cluster pair ({a}, {b}) on {side} side")
         lf = self.lf
         M = self.rows(side)
@@ -165,23 +166,31 @@ class Engine:
         return d if d.ndim else float(d)
 
     def apply_merge(self, side, a, b):
-        """Fuse clusters a and b on `side`; the lower slot id survives."""
+        """Fuse clusters a and b on `side`; the lower id survives."""
         keep, drop = (a, b) if a < b else (b, a)
         s = self.sides[side]
         for counts in (self.rows(side), s.margin, s.sizes):
             counts[keep] += counts[drop]
-            counts[drop] = 0
-        s.active[drop] = False
         s.assign[s.assign == drop] = keep
-        s.k -= 1
+        self._delete(side, drop)
         return keep
+
+    def _delete(self, side, c):
+        """Delete the emptied cluster c of `side`; the clusters above it move down one id."""
+        s = self.sides[side]
+        rows = shift_out(self.rows(side), c)
+        self.M = rows if side == "source" else rows.T
+        s.margin = shift_out(s.margin, c)
+        s.sizes = shift_out(s.sizes, c)
+        s.assign -= s.assign > c
+        s.k -= 1
 
     # -- vertex moves -------------------------------------------------------------
 
     def vertex_profiles(self, side):
         """(cols, cnts, gain) profile of every vertex on `side`, in one pass over its edges.
 
-        cols and cnts are the other-side cluster slots that the vertex
+        cols and cnts are the other-side clusters that the vertex
         touches, ascending, and its edge counts into them.  The profiles hold
         while the other side's partition is unchanged, as during a sweep
         over `side`.  gain is None, or (table, offsets) with
@@ -192,7 +201,7 @@ class Engine:
         """
         s, o = self.sides[side], self.sides[OTHER_SIDE[side]]
         cap = self.rows(side).shape[1]
-        # one key per (vertex, other-side slot); the float sums of integer counts are exact
+        # one key per (vertex, other-side cluster); the float sums of integer counts are exact
         keys, inverse = np.unique(s.idx * cap + o.assign[o.idx], return_inverse=True)
         cnts = np.bincount(inverse, weights=self.sample.counts, minlength=len(keys)).astype(np.int64)
         cols = keys % cap
@@ -255,31 +264,30 @@ class Engine:
         dC = self._lnC(self.m + kE_new - 1, kE_new - 1) - self._lnC(self.m + kE_old - 1, kE_old - 1)
         return dB, float(dC)
 
-    def dest_terms(self, side, slots):
-        """The terms of a move delta that depend on the destination only, for `slots`."""
+    def dest_terms(self, side):
+        """The terms of a move delta that depend on the destination only."""
         s = self.sides[side]
         lf = self.lf
-        mc, nc = s.margin[slots], s.sizes[slots]
+        mc, nc = s.margin.copy(), s.sizes.copy()
         lf_mc = lf[mc]
         nc1 = nc - 1
-        return DestTerms(slots, mc, nc, lf_mc, lf[nc], lf[mc + nc1] - lf[nc1] - lf_mc)
+        return DestTerms(mc, nc, lf_mc, lf[nc], lf[mc + nc1] - lf[nc1] - lf_mc)
 
     def _move_deltas(self, side, v, dests, profile):
-        """Deltas of moving vertex v into each slot of `dests`, a `dest_terms` record.
+        """Deltas of moving vertex v into each cluster of `side`, by cluster id.
 
-        `profile` is v's (cols, cnts, gain) entry of `vertex_profiles`.
-        v's own slot, if among the destinations, gets +inf.  The destination
-        block is gathered as M[:, cols][slots]: two single-axis gathers that
-        give the same C-ordered block as np.ix_, on both sides, so each row
-        sums in the same order, at a fraction of the cost.  With a gain
-        table, each cell's likelihood term is one lookup.  The own slot's
-        lookups can run past the factorial table, hence the clipped reads;
-        its entry is masked.
+        `dests` is a `dest_terms` record, and `profile` is v's (cols, cnts,
+        gain) entry of `vertex_profiles`.  v's own cluster gets +inf.  The
+        destination block M[:, cols] is copied into C order, the layout of an
+        np.ix_ gather, on both sides, so each row sums in the same order, at a
+        fraction of the cost.  With a gain table, each cell's likelihood term
+        is one lookup.  The own cluster's lookups can run past the factorial
+        table, hence the clipped reads; its entry is masked.
         """
         cols, cnts, gain = profile
         dv, base = self._removal_base(side, v, cols, cnts)
         lf = self.lf
-        sub = self.rows(side)[:, cols][dests.slots]
+        sub = np.ascontiguousarray(self.rows(side)[:, cols])
         if gain is None:
             d6 = lf.take(sub)
             np.subtract(d6, lf.take(sub + cnts, mode="clip"), out=d6)
@@ -294,26 +302,25 @@ class Engine:
         mc += dests.nc
         d4 = lf.take(mc, mode="clip") - dests.lf_nc - lf_mv - dests.prior
         deltas = base + d6 + d7 + d4
-        deltas[dests.slots == self.sides[side].assign[v]] = np.inf
+        deltas[self.sides[side].assign[v]] = np.inf
         return deltas
 
     def move_options(self, side, v, profile):
-        """Deltas of moving vertex v to every other active cluster on `side`.
+        """Deltas of moving vertex v to every other cluster on `side`.
 
         `profile` is v's entry of `vertex_profiles`.  Returns (current
-        cluster, destination slots, delta array).
+        cluster, destination clusters, delta array).
         """
         s = self.sides[side]
         a = s.assign[v]
-        slots = np.flatnonzero(s.active)
-        if len(slots) < 2:
-            return a, slots[slots != a], np.empty(0)
-        others = slots != a
-        deltas = self._move_deltas(side, v, self.dest_terms(side, slots), profile)
-        return a, slots[others], deltas[others]
+        others = np.flatnonzero(np.arange(s.k) != a)
+        if len(others) == 0:
+            return a, others, np.empty(0)
+        deltas = self._move_deltas(side, v, self.dest_terms(side), profile)
+        return a, others, deltas[others]
 
     def apply_move(self, side, v, dest, profile):
-        """Move vertex v into `dest`, another active cluster on `side`.
+        """Move vertex v into `dest`, another cluster on `side`.
 
         `profile` is v's entry of `vertex_profiles`.
         """
@@ -330,22 +337,10 @@ class Engine:
         s.sizes[dest] += 1
         s.assign[v] = dest
         if s.sizes[a] == 0:
-            s.active[a] = False
-            s.k -= 1
+            self._delete(side, a)
 
     # -- export -------------------------------------------------------------------
 
-    def compact_assignments(self):
-        """(source, target) assignments renumbered to 0..k-1, preserving slot order."""
-        out = []
-        for s in self.sides.values():
-            ids = -np.ones(len(s.active), dtype=np.int64)
-            ids[s.active] = np.arange(s.k)
-            out.append(ids[s.assign])
-        return tuple(out)
-
-    def public_pair(self, side, a_slot, b_slot):
-        """Compact (renumbered) ids of a slot pair, lower id first."""
-        ranks = np.cumsum(self.sides[side].active) - 1
-        pa, pb = int(ranks[a_slot]), int(ranks[b_slot])
-        return (pa, pb) if pa < pb else (pb, pa)
+    def assignments(self):
+        """Copies of the (source, target) assignments."""
+        return self.sides["source"].assign.copy(), self.sides["target"].assign.copy()

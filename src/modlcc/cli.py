@@ -284,16 +284,16 @@ def cmd_bench(args) -> int:
         if spec.sizes != sorted(set(spec.sizes)):
             raise CliError(EXIT_INPUT, "--sizes must be strictly increasing")
     if args.reps is not None:
+        if args.reps < 1:
+            raise CliError(EXIT_INPUT, "--reps must be >= 1")
         spec.reps = args.reps
     spec.seed = args.seed
     spec.rounds = args.rounds
-    if args.experiment == "clusters":
-        for key in ("n", "blocks"):
-            v = getattr(args, key)
-            if v is not None:
-                spec.params[key] = v
-        if args.noise is not None:
-            spec.params["noise_rate"] = args.noise
+    flags = {"--n": ("n", args.n), "--blocks": ("blocks", args.blocks), "--noise": ("noise_rate", args.noise)}
+    given = {flag: param for flag, param in flags.items() if param[1] is not None}
+    if given and args.experiment != "clusters":
+        raise CliError(EXIT_INPUT, f"{', '.join(given)}: options of the clusters experiment only")
+    spec.params.update(given.values())
 
     def progress(row):
         print(f"size={row['size']} rep={row['rep']} "

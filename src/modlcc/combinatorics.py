@@ -28,8 +28,9 @@ class CombinatoricsCache:
     and recomputed with a wider k range on demand.
     """
 
-    def __init__(self, initial_capacity: int = 1024):
-        self._lf = gammaln(np.arange(initial_capacity + 1, dtype=np.float64) + 1.0)
+    def __init__(self):
+        # ln(i!) for i <= 1024 to start; `factorial_table` grows it on demand
+        self._lf = gammaln(np.arange(1025, dtype=np.float64) + 1.0)
         self._partition_rows: dict[int, np.ndarray] = {}
 
     # -- factorials -------------------------------------------------------

@@ -16,7 +16,7 @@ __all__ = ["MergeRecord", "Dendrogram", "build_dendrogram", "cut"]
 @dataclass(frozen=True)
 class MergeRecord:
     side: str
-    a: int  # cluster ids as seen in the renumbered model at this step
+    a: int  # cluster ids in the model at this step, a < b
     b: int
     delta: float
     criterion: float
@@ -52,9 +52,9 @@ def build_dendrogram(model: Coclustering) -> Dendrogram:
     for delta, side, a, b in _merges(eng):
         # delta is scored afresh from the counts, not read from the merge
         # loop's incremental caches, so the path matches an exhaustive scan
-        a_pub, b_pub = eng.public_pair(side, a, b)
+        # and each delta equals `Coclustering.merge`'s for the same merge
         total += delta
-        merges.append(MergeRecord(side=side, a=a_pub, b=b_pub, delta=float(delta), criterion=float(total)))
+        merges.append(MergeRecord(side=side, a=a, b=b, delta=float(delta), criterion=float(total)))
     return Dendrogram(initial_model=model, merges=merges)
 
 
@@ -78,6 +78,6 @@ def cut(dendrogram: Dendrogram, target_source_clusters: int, target_target_clust
         # fuse b into a (a < b), then close the gap so ids stay 0..k-1
         x = assign[rec.side]
         x[x == rec.b] = rec.a
-        x[x > rec.b] -= 1
+        x -= x > rec.b
         k[rec.side] -= 1
     return Coclustering(model.sample, assign["source"], assign["target"])

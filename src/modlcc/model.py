@@ -158,8 +158,7 @@ class Coclustering:
         eng = Engine(self)
         delta = eng.merge_struct(side, a, b) + eng.merge_global(side)
         eng.apply_merge(side, a, b)
-        s, t = eng.compact_assignments()
-        return Coclustering(self.sample, s, t), float(delta)
+        return Coclustering(self.sample, *eng.assignments()), float(delta)
 
     def move(self, side: str, vertex: int, dest):
         """Move a vertex to cluster `dest` (or NEW_CLUSTER); returns (model, delta).

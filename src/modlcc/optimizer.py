@@ -6,10 +6,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from ._engine import OTHER_SIDE, Engine
+from ._engine import OTHER_SIDE, Engine, shift_out
 from .model import Coclustering, CriterionBreakdown, null_model
 
 __all__ = [
@@ -27,13 +28,12 @@ __all__ = [
 class FitConfig:
     rounds: int = 10
     seed: int = 0
-    post_opt_passes: int = 2
+    # vertex-move passes before and after the merges of each round
+    post_opt_passes: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.post_opt_passes < 0:
-            raise ValueError("post_opt_passes must be >= 0")
 
 
 @dataclass
@@ -87,33 +87,36 @@ def initial_solution(sample, max_clusters: int, seed) -> Coclustering:
 # -- greedy bottom-up merging --------------------------------------------------
 
 
-def _cluster_costs(eng: Engine, side: str, slots):
-    """k-independent criterion share of the clusters `slots` on `side`.
+def _cluster_costs(eng: Engine, side: str, clusters):
+    """k-independent criterion share of `clusters` on `side`.
 
     Merging clusters a and b changes the criterion by
     cost(a + b) - cost(a) - cost(b), plus `Engine.merge_global`.
     """
     s = eng.sides[side]
-    m, n = s.margin[slots], s.sizes[slots]
-    return eng.lf[m] + eng._lnC(m + n - 1, n - 1) - eng.lf[eng.rows(side)[slots]].sum(axis=-1)
+    m, n = s.margin[clusters], s.sizes[clusters]
+    return eng.lf[m] + eng._lnC(m + n - 1, n - 1) - eng.lf[eng.rows(side)[clusters]].sum(axis=-1)
 
 
-def _pair_deltas(eng: Engine, side: str, D: np.ndarray, slot, others: np.ndarray, cost: np.ndarray):
-    """Write the k-independent merge deltas of `slot` with each of `others` into D.
+def _pair_deltas(eng: Engine, side: str, D: np.ndarray, c, others: np.ndarray, cost: np.ndarray):
+    """Write the k-independent merge deltas of cluster c with each of `others` into D.
 
     D[a, b] holds the delta of the pair for a < b; every other entry is inf.
-    `cost` holds `_cluster_costs` of the current counts, by slot.
+    `cost` holds `_cluster_costs` of the current counts, by cluster.
     """
     s, M = eng.sides[side], eng.rows(side)
     lf = eng.lf
-    m = s.margin[slot] + s.margin[others]
-    n = s.sizes[slot] + s.sizes[others]
-    merged = lf[m] + eng._lnC(m + n - 1, n - 1) - lf[M[slot] + M[others]].sum(axis=1)
-    D[np.minimum(slot, others), np.maximum(slot, others)] = merged - cost[slot] - cost[others]
+    m = s.margin[c] + s.margin[others]
+    n = s.sizes[c] + s.sizes[others]
+    merged = lf[m] + eng._lnC(m + n - 1, n - 1) - lf[M[c] + M[others]].sum(axis=1)
+    D[np.minimum(c, others), np.maximum(c, others)] = merged - cost[c] - cost[others]
 
 
-def _cross_side_correction(eng: Engine, D_other: np.ndarray, old_a, old_b):
+def _cross_side_correction(eng: Engine, D_full: np.ndarray, old_a, old_b):
     """Adjust the other side's pair deltas after a merge changed one row.
+
+    `D_full` is the other side's pair matrix at its start size; the live
+    pair matrix is its top-left block, so cluster ids index both alike.
 
     Only pairs of clusters that share nonzero cells with the merged rows
     are impacted; everything else keeps its delta.  With x, y the merged
@@ -137,8 +140,8 @@ def _cross_side_correction(eng: Engine, D_other: np.ndarray, old_a, old_b):
     corr += lf.take(x[:, None] + x, mode="clip")
     corr += lf.take(y[:, None] + y, mode="clip")
     corr -= lf.take(s[:, None] + s, mode="clip")
-    flat = (support[:, None] * D_other.shape[1] + support).ravel()
-    D_flat = D_other.reshape(-1)
+    flat = (support[:, None] * D_full.shape[1] + support).ravel()
+    D_flat = D_full.reshape(-1)
     D_flat[flat] += corr.ravel()
 
 
@@ -172,8 +175,10 @@ def _merges(eng: Engine):
     """Greedy bottom-up merge sequence of `eng`, down to one cluster per side.
 
     Yields the best merge left on either side as (criterion delta, side,
-    slot a, slot b) and applies it when resumed; stop iterating to keep the
-    engine where it is.  Pair deltas are kept incrementally.  The start
+    cluster a, cluster b) with a < b, and applies it when resumed; stop
+    iterating to keep the engine where it is.  Pair deltas are kept
+    incrementally, and the merged-away cluster's row and column of D are
+    deleted as the engine deletes the cluster.  The start
     costs O(k^2 * k_other) per side.  Each merge then costs O(k * k_other)
     to score the surviving cluster's pairs afresh, O(s^2) to correct the
     other side's pairs, where s <= k_other is the number of other-side
@@ -182,13 +187,13 @@ def _merges(eng: Engine):
     """
     D, cost = {}, {}
     for side in ("source", "target"):
-        slots = eng.active_slots(side)
-        cap = len(eng.sides[side].active)
-        D[side] = np.full((cap, cap), np.inf)
-        cost[side] = np.zeros(cap)
-        cost[side][slots] = _cluster_costs(eng, side, slots)
-        for i in range(len(slots) - 1):
-            _pair_deltas(eng, side, D[side], slots[i], slots[i + 1 :], cost[side])
+        ids = np.arange(eng.sides[side].k)
+        D[side] = np.full((len(ids), len(ids)), np.inf)
+        cost[side] = _cluster_costs(eng, side, ids)
+        for i in range(len(ids) - 1):
+            _pair_deltas(eng, side, D[side], i, ids[i + 1 :], cost[side])
+    # D shrinks as a view of its start buffer, whose flat indices are cheaper to write
+    full = dict(D)
     while eng.sides["source"].k > 1 or eng.sides["target"].k > 1:
         best = _best_merge(eng, D)
         yield best
@@ -196,15 +201,15 @@ def _merges(eng: Engine):
         other = OTHER_SIDE[side]
         M = eng.rows(side)
         old_a, old_b = M[a].copy(), M[b].copy()
-        eng.apply_merge(side, a, b)  # a < b, so slot a survives
+        eng.apply_merge(side, a, b)  # a < b, so a survives and b is deleted
+        cost[side] = shift_out(cost[side], b)
         cost[side][a] = _cluster_costs(eng, side, a)
         # every other-side cluster had its counts at a and b fused
         cost[other] += eng.lf[old_a] + eng.lf[old_b] - eng.lf[old_a + old_b]
-        D[side][b, :] = np.inf
-        D[side][:, b] = np.inf
-        others = eng.active_slots(side)
+        D[side] = shift_out(shift_out(D[side], b).T, b).T
+        others = np.arange(eng.sides[side].k)
         _pair_deltas(eng, side, D[side], a, others[others != a], cost[side])
-        _cross_side_correction(eng, D[other], old_a, old_b)
+        _cross_side_correction(eng, full[other], old_a, old_b)
 
 
 def _gbum(eng: Engine):
@@ -220,8 +225,7 @@ def gbum(model: Coclustering) -> Coclustering:
     cluster merge until none improves the criterion."""
     eng = Engine(model)
     _gbum(eng)
-    s, t = eng.compact_assignments()
-    return Coclustering(model.sample, s, t)
+    return Coclustering(model.sample, *eng.assignments())
 
 
 # -- vertex-move post-optimization ----------------------------------------------
@@ -243,11 +247,11 @@ def _sweep(eng: Engine, side: str) -> bool:
         if s.k < 2:
             break
         if dests is None:
-            dests = eng.dest_terms(side, np.flatnonzero(s.active))
+            dests = eng.dest_terms(side)
         deltas = eng._move_deltas(side, v, dests, profile)
         best = int(deltas.argmin())
         if deltas[best] < 0.0:
-            eng.apply_move(side, v, int(dests.slots[best]), profile)
+            eng.apply_move(side, v, best, profile)
             dests = None
             moved = True
     return moved
@@ -266,8 +270,7 @@ def post_optimize(model: Coclustering, passes: int = 2) -> Coclustering:
     """Greedy vertex-move sweeps, alternating sides with the other partition frozen."""
     eng = Engine(model)
     _post_opt(eng, passes)
-    s, t = eng.compact_assignments()
-    return Coclustering(model.sample, s, t)
+    return Coclustering(model.sample, *eng.assignments())
 
 
 # -- multi-start -------------------------------------------------------------------
@@ -296,8 +299,7 @@ def vns_fit(sample, config: FitConfig | None = None) -> FitResult:
         _gbum(eng)
         _post_opt(eng, config.post_opt_passes)
         total = eng.criterion_total()
-        s, t = eng.compact_assignments()
-        fitted = Coclustering(sample, s, t)
+        fitted = Coclustering(sample, *eng.assignments())
         elapsed = time.perf_counter() - t0
         logs.append(RoundLog(
             round=r,

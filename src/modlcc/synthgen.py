@@ -49,17 +49,16 @@ class GeneratorSpec:
         return {"family": self.family, "m": self.m, "seed": self.seed, "params": dict(self.params)}
 
 
-def _labels(n: int, prefix: str = "v") -> list[str]:
+def _labels(n: int) -> list[str]:
     width = len(str(n - 1))
-    return [f"{prefix}{i:0{width}d}" for i in range(n)]
+    return [f"v{i:0{width}d}" for i in range(n)]
 
 
-def _sample_from_cells(n_s, n_t, src, tgt, labels_s=None, labels_t=None, unified=False):
-    """Sample of the edges (src[e], tgt[e]), aggregated into sorted cells."""
-    cells, counts = np.unique(src * n_t + tgt, return_counts=True)
-    labels_s = labels_s or _labels(n_s)
-    labels_t = labels_s if unified else (labels_t or _labels(n_t))
-    return MultigraphSample(labels_s, labels_t, (*np.divmod(cells, n_t), counts), unified=unified)
+def _sample_from_cells(n, src, tgt):
+    """Unified sample of the edges (src[e], tgt[e]) over n vertices, aggregated into sorted cells."""
+    cells, counts = np.unique(src * n + tgt, return_counts=True)
+    labels = _labels(n)
+    return MultigraphSample(labels, labels, (*np.divmod(cells, n), counts), unified=True)
 
 
 def circular_probability_table(n: int) -> np.ndarray:
@@ -85,7 +84,7 @@ def gen_circular(n: int, m: int, seed) -> tuple[MultigraphSample, np.ndarray]:
     counts = rng.multinomial(m, p.ravel()).reshape(n, n)
     src_nz, tgt_nz = np.nonzero(counts)
     reps = counts[src_nz, tgt_nz]
-    sample = _sample_from_cells(n, n, np.repeat(src_nz, reps), np.repeat(tgt_nz, reps), unified=True)
+    sample = _sample_from_cells(n, np.repeat(src_nz, reps), np.repeat(tgt_nz, reps))
     return sample, p
 
 
@@ -123,7 +122,7 @@ def gen_block_diagonal(n: int, k: int, noise_rate: float, m: int, seed):
     structured = ~is_noise
     b = blocks[src[structured]]
     tgt[structured] = starts[b] + rng.integers(0, sizes[b])
-    sample = _sample_from_cells(n, n, src, tgt, unified=True)
+    sample = _sample_from_cells(n, src, tgt)
     return sample, blocks
 
 
@@ -147,7 +146,7 @@ def gen_blockmodel(matrix=None, cluster_sizes=None, m: int = 1, seed=0):
     bs, bt = pair // k, pair % k
     src = starts[bs] + rng.integers(0, sizes[bs])
     tgt = starts[bt] + rng.integers(0, sizes[bt])
-    sample = _sample_from_cells(n, n, src, tgt, unified=True)
+    sample = _sample_from_cells(n, src, tgt)
     return sample, (labels, labels)
 
 
@@ -172,7 +171,7 @@ def gen_undirected_pattern(cluster_count: int, cluster_size: int, intra: float, 
         raise GeneratorError("no edges")
     src = np.concatenate([iu[keep], ju[keep]])
     tgt = np.concatenate([ju[keep], iu[keep]])
-    sample = _sample_from_cells(n, n, src, tgt, unified=True)
+    sample = _sample_from_cells(n, src, tgt)
     return sample, labels
 
 

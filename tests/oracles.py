@@ -171,22 +171,20 @@ def exhaustive_dendrogram(model):
     total = eng.criterion_total()
     merges = []
     while eng.sides["source"].k > 1 or eng.sides["target"].k > 1:
-        best = None  # (delta, side, slot_a, slot_b)
+        best = None  # (delta, side, a, b)
         for side in ("source", "target"):
-            if eng.sides[side].k < 2:
+            k = eng.sides[side].k
+            if k < 2:
                 continue
-            slots = eng.active_slots(side)
             g = eng.merge_global(side)
-            for ai in range(len(slots) - 1):
-                for bi in range(ai + 1, len(slots)):
-                    d = eng.merge_struct(side, slots[ai], slots[bi]) + g
-                    if best is None or d < best[0]:
-                        best = (d, side, int(slots[ai]), int(slots[bi]))
-        delta, side, sa, sb = best
-        a_pub, b_pub = eng.public_pair(side, sa, sb)
-        eng.apply_merge(side, sa, sb)
+            for a, b in itertools.combinations(range(k), 2):
+                d = eng.merge_struct(side, a, b) + g
+                if best is None or d < best[0]:
+                    best = (d, side, a, b)
+        delta, side, a, b = best
+        eng.apply_merge(side, a, b)
         total += delta
-        merges.append(MergeRecord(side=side, a=a_pub, b=b_pub, delta=float(delta), criterion=float(total)))
+        merges.append(MergeRecord(side=side, a=a, b=b, delta=float(delta), criterion=float(total)))
     return merges
 
 
@@ -203,7 +201,7 @@ def replayed_models(model, merges):
 
 
 def ix_profile(eng, side, v):
-    """(cols, cnts) of vertex v of `side`: the other-side cluster slots it
+    """(cols, cnts) of vertex v of `side`: the other-side clusters it
     touches and its edge counts into them, from a bincount over the sample."""
     sample = eng.sample
     if side == "source":
@@ -217,16 +215,16 @@ def ix_profile(eng, side, v):
 
 
 def ix_move_options(eng, side, v):
-    """(current cluster, destination slots, deltas) of moving vertex v of
-    `side` to every other active cluster, written the direct way: a fresh
+    """(current cluster, destination clusters, deltas) of moving vertex v of
+    `side` to every other cluster, written the direct way: a fresh
     profile per vertex, NumPy-scalar removal terms and an np.ix_ gather of
     the destination block."""
     src, tgt = eng.sides["source"], eng.sides["target"]
     if side == "source":
-        assign, sizes, margin, active, M, n = src.assign, src.sizes, src.margin, src.active, eng.M, src.n
+        assign, sizes, margin, M, n = src.assign, src.sizes, src.margin, eng.M, src.n
         k, k_other = src.k, tgt.k
     else:
-        assign, sizes, margin, active, M, n = tgt.assign, tgt.sizes, tgt.margin, tgt.active, eng.M.T, tgt.n
+        assign, sizes, margin, M, n = tgt.assign, tgt.sizes, tgt.margin, eng.M.T, tgt.n
         k, k_other = tgt.k, src.k
     lf = eng.lf
 
@@ -234,7 +232,7 @@ def ix_move_options(eng, side, v):
         return lf[n_] - lf[k_] - lf[n_ - k_]
 
     a = assign[v]
-    dests = np.flatnonzero(active)
+    dests = np.arange(k)
     dests = dests[dests != a]
     if len(dests) == 0:
         return a, dests, np.empty(0)
@@ -264,7 +262,7 @@ def ix_move_options(eng, side, v):
 
 def ix_post_optimize(model, passes=2):
     """Greedy best-move sweeps, source side then target side, with
-    `ix_move_options`; returns the compact (source, target) assignments."""
+    `ix_move_options`; returns the (source, target) assignments."""
     from modlcc._engine import Engine
 
     eng = Engine(model)
@@ -283,7 +281,7 @@ def ix_post_optimize(model, passes=2):
                     moved = True
         if not moved:
             break
-    return eng.compact_assignments()
+    return eng.assignments()
 
 
 # -- dict-based edge-list parser ------------------------------------------------------

@@ -92,6 +92,26 @@ def test_bench_clusters_zero_blocks_exit_2(tmp_path, capsys):
     assert "block count 0 must be >= 1" in err
 
 
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_bench_nonpositive_reps_exit_2(tmp_path, capsys, reps):
+    out_csv = tmp_path / "c.csv"
+    code, _, err = run(capsys, "bench", "clusters", "--sizes", "20", "--reps", reps, "--rounds", "1",
+                       "--n", "6", "-o", str(out_csv))
+    assert code == 2
+    assert "--reps must be >= 1" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "1"), ("--blocks", "7"), ("--noise", "0.9")])
+def test_bench_convergence_rejects_cluster_curve_options(tmp_path, capsys, flag, value):
+    out_csv = tmp_path / "c.csv"
+    code, _, err = run(capsys, "bench", "convergence", "--sizes", "100", "--reps", "1", "--rounds", "1",
+                       flag, value, "-o", str(out_csv))
+    assert code == 2
+    assert f"{flag}: options of the clusters experiment only" in err
+    assert not out_csv.exists()
+
+
 def test_fit_summary_and_model(tmp_path, capsys):
     prefix, model_path, out = gen_and_fit(tmp_path, capsys)
     assert "clusters: 2 x 2" in out

@@ -90,7 +90,7 @@ def test_large_arguments_finite():
 
 
 def test_cache_growth_preserves_values():
-    cache = CombinatoricsCache(initial_capacity=4)
+    cache = CombinatoricsCache()
     before = cache.log_factorial(3)
     cache.factorial_table(5000)
     assert cache.log_factorial(3) == before

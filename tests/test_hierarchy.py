@@ -112,8 +112,12 @@ def test_dendrogram_to_dict():
 def assert_matches_exhaustive(model):
     dend = build_dendrogram(model)
     assert dend.merges == exhaustive_dendrogram(model)
+    states = replayed_models(model, dend.merges)
+    # each recorded delta is the public merge's delta on the state it merged
+    for state, rec in zip(states, dend.merges):
+        assert state.merge(rec.side, rec.a, rec.b)[1] == rec.delta
     # every state on the path is the cut at its own cluster counts
-    for state in replayed_models(model, dend.merges):
+    for state in states:
         got = cut(dend, state.k_source, state.k_target)
         assert np.array_equal(got.source_assignment, state.source_assignment)
         assert np.array_equal(got.target_assignment, state.target_assignment)

@@ -129,8 +129,6 @@ def test_random_graph_collapses_to_single_cluster():
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(rounds=0)
-    with pytest.raises(ValueError):
-        FitConfig(post_opt_passes=-1)
 
 
 def skewed_sample(rng, n_s, n_t, dense, stray):
@@ -155,33 +153,32 @@ def skewed_samples(draw):
 
 def assert_caches_match_recomputation(eng, D):
     for side in ("source", "target"):
-        slots = eng.active_slots(side)
+        k = eng.sides[side].k
+        assert D[side].shape == (k, k)
         pairs = [tuple(p) for p in np.argwhere(np.isfinite(D[side])).tolist()]
-        assert pairs == list(combinations(slots.tolist(), 2))
+        assert pairs == list(combinations(range(k), 2))
         for a, b in pairs:
             assert D[side][a, b] == pytest.approx(eng.merge_struct(side, a, b), rel=1e-9, abs=1e-9)
-    rebuilt = Engine(Coclustering(eng.sample, *eng.compact_assignments()), cache=CombinatoricsCache())
-    s, t = eng.active_slots("source"), eng.active_slots("target")
-    src, tgt = eng.sides["source"], eng.sides["target"]
-    assert np.array_equal(eng.M[np.ix_(s, t)], rebuilt.M)
-    assert np.array_equal(src.margin[s], rebuilt.sides["source"].margin)
-    assert np.array_equal(tgt.margin[t], rebuilt.sides["target"].margin)
-    assert np.array_equal(src.sizes[s], rebuilt.sides["source"].sizes)
-    assert np.array_equal(tgt.sizes[t], rebuilt.sides["target"].sizes)
+    rebuilt = Engine(Coclustering(eng.sample, *eng.assignments()))
+    assert np.array_equal(eng.M, rebuilt.M)
+    for side in ("source", "target"):
+        assert np.array_equal(eng.sides[side].margin, rebuilt.sides[side].margin)
+        assert np.array_equal(eng.sides[side].sizes, rebuilt.sides[side].sizes)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(sample=skewed_samples())
 def test_merge_caches_match_recomputation_to_the_root(sample):
-    # a fresh table per engine: a shared one only grows, which hides overflows
-    eng = Engine(maximal_model(sample), cache=CombinatoricsCache())
-    merges = _merges(eng)
-    for _ in merges:
-        # the generator's pair-delta matrices, updated in place at each merge
-        D = merges.gi_frame.f_locals["D"]
+    # a fresh table per example: a shared one only grows, which hides overflows
+    with mock.patch.object(_engine, "shared_cache", CombinatoricsCache()):
+        eng = Engine(maximal_model(sample))
+        merges = _merges(eng)
+        for _ in merges:
+            # the generator's pair-delta matrices, updated at each merge
+            D = merges.gi_frame.f_locals["D"]
+            assert_caches_match_recomputation(eng, D)
+        assert eng.sides["source"].k == 1 and eng.sides["target"].k == 1
         assert_caches_match_recomputation(eng, D)
-    assert eng.sides["source"].k == 1 and eng.sides["target"].k == 1
-    assert_caches_match_recomputation(eng, D)
     with mock.patch.object(_engine, "shared_cache", CombinatoricsCache()):
         gbum(maximal_model(sample))
         post_optimize(maximal_model(sample))
@@ -246,7 +243,7 @@ def test_move_options_match_oracle_during_merges(block_sample):
     merges = _merges(eng)
     for _ in range(40):
         next(merges)  # applies the merge yielded before it
-    assert not eng.sides["source"].active.all() and not eng.sides["target"].active.all()
+    assert eng.sides["source"].k < 64 and eng.sides["target"].k < 64
     assert_move_options_match_oracle(eng)
 
 
@@ -313,9 +310,9 @@ def assert_mirrored(eng, mirror):
             assert got[0] == want[0]
             assert np.array_equal(got[1], want[1])
             assert np.array_equal(got[2], want[2])
-        slots = eng.active_slots(side)
-        assert np.array_equal(slots, mirror.active_slots(other))
-        for a, b in combinations(slots.tolist(), 2):
+        k = eng.sides[side].k
+        assert k == mirror.sides[other].k
+        for a, b in combinations(range(k), 2):
             assert eng.merge_struct(side, a, b) == mirror.merge_struct(other, a, b)
     # t6 sums the grid in the other order
     assert eng.criterion_total() == pytest.approx(mirror.criterion_total(), rel=1e-12, abs=0)
@@ -346,8 +343,7 @@ def test_engine_is_symmetric_under_transposition(monkeypatch, table):
         assert_mirrored(eng, mirror)
     assert moved
     for side in ("source", "target"):
-        a, b = eng.active_slots(side)[:2].tolist()
-        assert eng.apply_merge(side, a, b) == mirror.apply_merge(OTHER_SIDE[side], a, b)
+        assert eng.apply_merge(side, 0, 1) == mirror.apply_merge(OTHER_SIDE[side], 0, 1)
         assert_mirrored(eng, mirror)
 
 

@@ -9,7 +9,9 @@ outputs are
 - the model file of `modlcc fit` on the fit-large input, seeds 1-3;
 - `vns_fit(rounds=3).to_dict()` on the 800 fit-batch graphs of seeds 1-2,
   one digest per seed over all graphs in order;
-- the cut file of `modlcc coarsen` on the explore input, seeds 1-3;
+- the cut file of `modlcc coarsen` on the explore input, seeds 1-3, and
+  the same document without the `delta` of each `merge_path` entry, so
+  that a change which moves only the rounding of the deltas shows as such;
 - the report file of `modlcc evaluate --modularity` on the explore input,
   seeds 1-3, as the benchmark's explore workload calls it;
 - the golden fits of `tests/test_optimizer.py`, hashed as that test hashes
@@ -55,13 +57,20 @@ def doc_bytes(fit) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
-def cli_file(argv: list[str], out_path: str) -> str:
+def cli_file(argv: list[str], out_path: str) -> bytes:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(argv)
     if code != 0:
         raise SystemExit(f"modlcc {' '.join(argv)} exited {code}")
     with open(out_path, "rb") as fh:
-        return sha256(fh.read())
+        return fh.read()
+
+
+def without_deltas(cut_file: bytes) -> bytes:
+    doc = json.loads(cut_file)
+    for rec in doc["merge_path"]:
+        del rec["delta"]
+    return json.dumps(doc, sort_keys=True).encode()
 
 
 def main():
@@ -71,7 +80,7 @@ def main():
             out = os.path.join(work, "large.json")
             argv = ["fit", edges, "-o", out, "--unify-vertices",
                     "--rounds", str(inputs.FIT_LARGE_ROUNDS), "--seed", "0"]
-            print(f"fit-large seed {seed}: {cli_file(argv, out)}", flush=True)
+            print(f"fit-large seed {seed}: {sha256(cli_file(argv, out))}", flush=True)
         for seed in (1, 2):
             graphs, _ = inputs.batch_graphs(seed, BATCH_GRAPHS)
             h = hashlib.sha256()
@@ -83,10 +92,12 @@ def main():
             (edges, model), _ = inputs.explore_input(seed, work)
             out = os.path.join(work, "cut.json")
             argv = ["coarsen", model, edges, "--clusters", "%d,%d" % inputs.EXPLORE_CLUSTERS, "-o", out]
-            print(f"explore seed {seed}: {cli_file(argv, out)}", flush=True)
+            cut_file = cli_file(argv, out)
+            print(f"explore seed {seed}: {sha256(cut_file)}", flush=True)
+            print(f"explore seed {seed} without deltas: {sha256(without_deltas(cut_file))}", flush=True)
             report = os.path.join(work, "evaluate.json")
             argv = ["evaluate", model, edges, "--modularity", "-o", report]
-            print(f"evaluate seed {seed}: {cli_file(argv, report)}", flush=True)
+            print(f"evaluate seed {seed}: {sha256(cli_file(argv, report))}", flush=True)
     for m in GOLDEN_M:
         sample, _ = gen_block_diagonal(300, 4, 0.5, m=m, seed=3)
         print(f"golden m={m}: {sha256(doc_bytes(vns_fit(sample, FitConfig(rounds=2, seed=1))))}", flush=True)
