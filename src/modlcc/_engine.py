@@ -187,7 +187,7 @@ class Engine:
 
     # -- vertex moves -------------------------------------------------------------
 
-    def vertex_profiles(self, side):
+    def vertex_profiles(self, side, cells=slice(None)):
         """(cols, cnts, gain) profile of every vertex on `side`, in one pass over its edges.
 
         cols and cnts are the other-side clusters that the vertex
@@ -197,13 +197,15 @@ class Engine:
         table[offsets[i] + x] == lf[x] - lf[x + cnts[i]] for every count x
         that a destination cell can hold, so that `move_options` reads each
         likelihood term with one lookup in place of two.  The table is built
-        when it is smaller than the move blocks it serves.
+        when it is smaller than the move blocks it serves.  `cells` selects
+        the sample cells to read: all of them, or for example one vertex's
+        own cells, whose profile alone is then complete.
         """
         s, o = self.sides[side], self.sides[OTHER_SIDE[side]]
         cap = self.rows(side).shape[1]
         # one key per (vertex, other-side cluster); the float sums of integer counts are exact
-        keys, inverse = np.unique(s.idx * cap + o.assign[o.idx], return_inverse=True)
-        cnts = np.bincount(inverse, weights=self.sample.counts, minlength=len(keys)).astype(np.int64)
+        keys, inverse = np.unique(s.idx[cells] * cap + o.assign[o.idx[cells]], return_inverse=True)
+        cnts = np.bincount(inverse, weights=self.sample.counts[cells], minlength=len(keys)).astype(np.int64)
         cols = keys % cap
         gain = self._gain_table(side, cnts)
         ptr = np.searchsorted(keys, np.arange(s.n + 1, dtype=np.int64) * cap).tolist()
@@ -221,7 +223,7 @@ class Engine:
         x + c <= width - 1 below.
         """
         width = int(self.sides[OTHER_SIDE[side]].margin.max()) + 1
-        rows = int(cnts.max())
+        rows = int(cnts.max(initial=0))  # 0 for a selection of no cells
         if rows * width > min(len(cnts) * self.sides[side].k, _GAIN_TABLE_MAX):
             return None
         x = np.arange(width)

@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Subcommands: generate, fit, coarsen, density, evaluate, bench.
-Exit codes: 0 success, 2 input error, 3 I/O error, 4 consistency-audit failure,
-5 internal error (an unexpected exception, reported in one line).
+
+The commands only raise; `main` alone picks the exit code, from the class
+of the exception: 0 success, 4 a failed consistency audit (`AuditError`),
+2 any other input error (`ValueError`, which `EdgeListError`,
+`GeneratorError` and `ModelError` are), 3 an I/O error (`OSError`), and 5
+any other exception, an internal error reported in one line.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from . import __version__
 from .bench import DESK_CLUSTER_CURVE, DESK_CONVERGENCE, PAPER_CONVERGENCE
 from .bench import recovery_fractions, run_cluster_curve, run_convergence_experiment
 from .density import estimate_density, information_metrics, modl_mi_estimate, modularity
-from .graph import EdgeListError, parse_edge_list
+from .graph import parse_edge_list
 from .hierarchy import build_dendrogram, cut
-from .model import Coclustering, ModelError, null_model
+from .model import AuditError, Coclustering, model_header
 from .optimizer import FitConfig, vns_fit
-from .synthgen import GeneratorError, GeneratorSpec, generate
+from .synthgen import GeneratorSpec, generate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -32,11 +36,8 @@ EXIT_IO = 3
 EXIT_AUDIT = 4
 EXIT_INTERNAL = 5
 
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+# the exit code of an exception: the first class it is an instance of
+EXIT_CODES = ((AuditError, EXIT_AUDIT), (ValueError, EXIT_INPUT), (OSError, EXIT_IO))
 
 
 def _read_text(path: str) -> str:
@@ -44,7 +45,7 @@ def _read_text(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
+        raise OSError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_text(path: str, text: str):
@@ -52,7 +53,7 @@ def _write_text(path: str, text: str):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_vocabulary(path: str | None):
@@ -67,17 +68,13 @@ def _read_vocabulary(path: str | None):
 
 
 def _load_sample(args, vocabulary=None, target_vocabulary=None, unify=None):
-    text = _read_text(args.edges)
-    try:
-        return parse_edge_list(
-            text,
-            unify=unify if unify is not None else getattr(args, "unify_vertices", False),
-            undirected=getattr(args, "undirected", False),
-            vocabulary=vocabulary if vocabulary is not None else _read_vocabulary(getattr(args, "vocabulary", None)),
-            target_vocabulary=target_vocabulary,
-        )
-    except EdgeListError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    return parse_edge_list(
+        _read_text(args.edges),
+        unify=unify if unify is not None else getattr(args, "unify_vertices", False),
+        undirected=getattr(args, "undirected", False),
+        vocabulary=vocabulary if vocabulary is not None else _read_vocabulary(getattr(args, "vocabulary", None)),
+        target_vocabulary=target_vocabulary,
+    )
 
 
 def _load_model(args):
@@ -85,47 +82,43 @@ def _load_model(args):
     try:
         data = json.loads(_read_text(args.model))
     except json.JSONDecodeError as exc:
-        raise CliError(EXIT_INPUT, f"invalid model JSON: {exc}") from exc
-    sample = _load_sample(
-        args,
-        vocabulary=data.get("source_labels"),
-        target_vocabulary=data.get("target_labels"),
-        unify=data.get("unified", False),
-    )
-    try:
-        model = Coclustering.from_dict(data, sample)
-    except ModelError as exc:
-        code = EXIT_AUDIT if "consistency audit failed" in str(exc) else EXIT_INPUT
-        raise CliError(code, str(exc)) from exc
-    return model, sample, data
+        raise ValueError(f"invalid model JSON: {exc}") from exc
+    source_labels, target_labels, unified = model_header(data)
+    sample = _load_sample(args, vocabulary=source_labels, target_vocabulary=target_labels, unify=unified)
+    return Coclustering.from_dict(data, sample), sample, data
 
 
 # -- generate -----------------------------------------------------------------
 
 
+# the family flags of `generate`, in the parser's order
+_GENERATE_FLAGS = ("n", "blocks", "noise", "clusters", "cluster_size", "intra", "inter", "m")
+# each family's flags: flag -> (its generator parameter, or the spec's m; default)
+_FAMILY_FLAGS = {
+    "circular": {"n": ("n", 100), "m": ("m", 1000)},
+    "block-diagonal": {"n": ("n", 100), "blocks": ("blocks", 2), "noise": ("noise_rate", 0.0), "m": ("m", 1000)},
+    "blockmodel": {"m": ("m", 1000)},
+    "undirected-pattern": {"clusters": ("cluster_count", 4), "cluster_size": ("cluster_size", 10),
+                           "intra": ("intra", 0.8), "inter": ("inter", 0.1)},
+}
+
+
 def _generator_spec(args) -> GeneratorSpec:
-    if args.family == "circular":
-        params = {"n": args.n}
-    elif args.family == "block-diagonal":
-        params = {"n": args.n, "blocks": args.blocks, "noise_rate": args.noise}
-    elif args.family == "blockmodel":
-        params = {}
-    else:  # undirected-pattern
-        params = {
-            "cluster_count": args.clusters,
-            "cluster_size": args.cluster_size,
-            "intra": args.intra,
-            "inter": args.inter,
-        }
-    return GeneratorSpec(args.family.replace("-", "_"), m=args.m, seed=args.seed, params=params)
+    flags = _FAMILY_FLAGS[args.family]
+    unused = [f"--{flag.replace('_', '-')}" for flag in _GENERATE_FLAGS
+              if flag not in flags and getattr(args, flag) is not None]
+    if unused:
+        raise ValueError(f"{', '.join(unused)}: not used by the {args.family} family")
+    params = {name: default if getattr(args, flag) is None else getattr(args, flag)
+              for flag, (name, default) in flags.items()}
+    # undirected-pattern draws no set number of edges; its spec records the default m
+    m = params.pop("m", 1000)
+    return GeneratorSpec(args.family.replace("-", "_"), m=m, seed=args.seed, params=params)
 
 
 def cmd_generate(args) -> int:
     spec = _generator_spec(args)
-    try:
-        sample, truth = generate(spec)
-    except GeneratorError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    sample, truth = generate(spec)
     prefix = args.output
     _write_text(prefix + ".tsv", "".join(sample.expand_lines()))
     lines = []
@@ -192,12 +185,9 @@ def cmd_coarsen(args) -> int:
     try:
         ks, kt = (int(v) for v in args.clusters.split(","))
     except ValueError:
-        raise CliError(EXIT_INPUT, f"--clusters must be kS,kT, got {args.clusters!r}") from None
+        raise ValueError(f"--clusters must be kS,kT, got {args.clusters!r}") from None
     dend = build_dendrogram(model)
-    try:
-        cut_model = cut(dend, ks, kt)
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    cut_model = cut(dend, ks, kt)
     doc = cut_model.to_dict(seed=args.seed)
     doc["requested_clusters"] = [ks, kt]
     doc["merge_path"] = dend.to_dict()["merges"]
@@ -220,7 +210,7 @@ def cmd_density(args) -> int:
             i, j = (int(v) for v in args.cell.split(","))
             p = est.p(i, j)
         except (ValueError, IndexError) as exc:
-            raise CliError(EXIT_INPUT, f"invalid --cell {args.cell!r}: {exc}") from None
+            raise ValueError(f"invalid --cell {args.cell!r}: {exc}") from None
         print(json.dumps({"i": i, "j": j, "p": p}))
         return EXIT_OK
     grid = est.matrix()
@@ -249,7 +239,7 @@ def cmd_evaluate(args) -> int:
     report.modl_mi_likelihood = mi_lh
     if args.modularity:
         if not sample.unified:
-            raise CliError(EXIT_INPUT, "modularity requires a unified vertex space")
+            raise ValueError("modularity requires a unified vertex space")
         report.modularity = modularity(sample, model.source_assignment)
     doc = report.to_dict()
     doc["units"] = "nats"
@@ -282,36 +272,33 @@ def cmd_bench(args) -> int:
     if args.sizes:
         spec.sizes = [int(s) for s in args.sizes.split(",")]
         if spec.sizes != sorted(set(spec.sizes)):
-            raise CliError(EXIT_INPUT, "--sizes must be strictly increasing")
+            raise ValueError("--sizes must be strictly increasing")
     if args.reps is not None:
         if args.reps < 1:
-            raise CliError(EXIT_INPUT, "--reps must be >= 1")
+            raise ValueError("--reps must be >= 1")
         spec.reps = args.reps
     spec.seed = args.seed
     spec.rounds = args.rounds
     flags = {"--n": ("n", args.n), "--blocks": ("blocks", args.blocks), "--noise": ("noise_rate", args.noise)}
     given = {flag: param for flag, param in flags.items() if param[1] is not None}
     if given and args.experiment != "clusters":
-        raise CliError(EXIT_INPUT, f"{', '.join(given)}: options of the clusters experiment only")
+        raise ValueError(f"{', '.join(given)}: options of the clusters experiment only")
     spec.params.update(given.values())
 
     def progress(row):
         print(f"size={row['size']} rep={row['rep']} "
               f"k={row['k_source']}x{row['k_target']} {row['seconds']:.2f}s")
 
-    try:
-        if args.experiment == "convergence":
-            rows = run_convergence_experiment(spec, output=args.output, progress=progress)
-            summary = {"experiment": "convergence", "rows": len(rows)}
-        else:
-            rows = run_cluster_curve(spec, output=args.output, progress=progress)
-            summary = {
-                "experiment": "clusters",
-                "rows": len(rows),
-                "recovery_fraction": recovery_fractions(rows),
-            }
-    except GeneratorError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
+    if args.experiment == "convergence":
+        rows = run_convergence_experiment(spec, output=args.output, progress=progress)
+        summary = {"experiment": "convergence", "rows": len(rows)}
+    else:
+        rows = run_cluster_curve(spec, output=args.output, progress=progress)
+        summary = {
+            "experiment": "clusters",
+            "rows": len(rows),
+            "recovery_fraction": recovery_fractions(rows),
+        }
     summary["seed"] = spec.seed
     summary["tool_version"] = __version__
     if args.output:
@@ -339,14 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic edge sample")
     g.add_argument("family", choices=["circular", "block-diagonal", "blockmodel", "undirected-pattern"])
-    g.add_argument("--n", type=int, default=100, help="vertex count (circular, block-diagonal)")
-    g.add_argument("--blocks", type=int, default=2, help="block count (block-diagonal)")
-    g.add_argument("--noise", type=float, default=0.0, help="noise edge fraction (block-diagonal)")
-    g.add_argument("--clusters", type=int, default=4, help="cluster count (undirected-pattern)")
-    g.add_argument("--cluster-size", type=int, default=10, help="cluster size (undirected-pattern)")
-    g.add_argument("--intra", type=float, default=0.8, help="within-cluster edge proportion")
-    g.add_argument("--inter", type=float, default=0.1, help="across-cluster edge proportion")
-    g.add_argument("--m", type=int, default=1000, help="number of edges to draw")
+    # a flag that the chosen family does not use is an error; see _FAMILY_FLAGS
+    g.add_argument("--n", type=int, help="vertex count (circular, block-diagonal; default 100)")
+    g.add_argument("--blocks", type=int, help="block count (block-diagonal; default 2)")
+    g.add_argument("--noise", type=float, help="noise edge fraction (block-diagonal; default 0)")
+    g.add_argument("--clusters", type=int, help="cluster count (undirected-pattern; default 4)")
+    g.add_argument("--cluster-size", type=int, help="cluster size (undirected-pattern; default 10)")
+    g.add_argument("--intra", type=float, help="within-cluster edge proportion (undirected-pattern; default 0.8)")
+    g.add_argument("--inter", type=float, help="across-cluster edge proportion (undirected-pattern; default 0.1)")
+    g.add_argument("--m", type=int, help="edges to draw (circular, block-diagonal, blockmodel; default 1000)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--output", required=True, help="output path prefix")
     g.set_defaults(func=cmd_generate)
@@ -410,19 +398,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (EdgeListError, GeneratorError, ModelError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except Exception as exc:  # a bug: report it in one line, not a traceback
-        message = " ".join(f"{type(exc).__name__}: {exc}".split())
-        print(f"error: internal error: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        code = next((code for cls, code in EXIT_CODES if isinstance(exc, cls)), EXIT_INTERNAL)
+        message = str(exc)
+        if code == EXIT_INTERNAL:  # a bug: report it in one line, not a traceback
+            message = "internal error: " + " ".join(f"{type(exc).__name__}: {message}".split())
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -17,12 +17,14 @@ from .graph import MultigraphSample
 
 __all__ = [
     "ModelError",
+    "AuditError",
     "CriterionBreakdown",
     "Coclustering",
     "NEW_CLUSTER",
     "from_partitions",
     "null_model",
     "maximal_model",
+    "model_header",
 ]
 
 NEW_CLUSTER = "new"
@@ -41,6 +43,10 @@ _TERM_NAMES = (
 
 class ModelError(ValueError):
     """Invalid partition or model/sample mismatch."""
+
+
+class AuditError(ModelError):
+    """A model's counts differ from those of the sample it is checked against."""
 
 
 @dataclass(frozen=True)
@@ -96,9 +102,9 @@ def _normalize_partition(partition, labels, n, what) -> np.ndarray:
             raise ModelError(f"{what} assignment must cover all {n} vertices")
     if np.any(assign < 0):
         raise ModelError(f"{what} partition does not cover every vertex")
+    # n vertices fill at most n clusters: a larger id leaves one empty
     k = int(assign.max()) + 1
-    sizes = np.bincount(assign, minlength=k)
-    if np.any(sizes == 0):
+    if k > n or np.any(np.bincount(assign, minlength=k) == 0):
         raise ModelError(f"{what} partition has an empty cluster")
     return assign
 
@@ -197,14 +203,14 @@ class Coclustering:
     def verify_consistent(self, sample: MultigraphSample):
         """Recompute all counts from `sample` and compare (consistency audit)."""
         if sample.n_source != self.sample.n_source or sample.n_target != self.sample.n_target:
-            raise ModelError("consistency audit failed: vertex universes differ")
+            raise AuditError("consistency audit failed: vertex universes differ")
         other = Coclustering(sample, self.source_assignment, self.target_assignment)
         if not np.array_equal(other.cocluster_grid, self.cocluster_grid):
-            raise ModelError("consistency audit failed: cocluster counts differ")
+            raise AuditError("consistency audit failed: cocluster counts differ")
         if not np.array_equal(sample.out_degrees, self.sample.out_degrees) or not np.array_equal(
             sample.in_degrees, self.sample.in_degrees
         ):
-            raise ModelError("consistency audit failed: vertex degrees differ")
+            raise AuditError("consistency audit failed: vertex degrees differ")
 
     def clusters(self, side: str) -> list[list[str]]:
         _check_side(side)
@@ -238,16 +244,20 @@ class Coclustering:
 
     @classmethod
     def from_dict(cls, data: dict, sample: MultigraphSample) -> "Coclustering":
-        if data.get("source_labels") != sample.source_labels or (
-            data.get("target_labels") != sample.target_labels
-        ):
+        """The model that `to_dict` wrote, over `sample`; its stored counts are audited."""
+        source_labels, target_labels, _ = model_header(data)
+        if source_labels != sample.source_labels or target_labels != sample.target_labels:
             raise ModelError("model labels do not match the sample")
-        model = cls(sample, data["source_assignment"], data["target_assignment"])
-        cells = data.get("cocluster_counts", [])
-        if cells:
-            stored = _stored_grid(cells, model.cocluster_grid.shape)
+        model = cls(
+            sample,
+            _int_array(data, "source_assignment", 1, "cluster ids"),
+            _int_array(data, "target_assignment", 1, "cluster ids"),
+        )
+        if data.get("cocluster_counts"):
+            stored = _stored_grid(_int_array(data, "cocluster_counts", 2, "[i, j, count] cells"),
+                                  model.cocluster_grid.shape)
             if stored is None or not np.array_equal(stored, model.cocluster_grid):
-                raise ModelError("consistency audit failed: stored cocluster counts differ from the sample")
+                raise AuditError("consistency audit failed: stored cocluster counts differ from the sample")
         return model
 
     def __repr__(self):
@@ -257,14 +267,49 @@ class Coclustering:
 def _move_delta(model: Coclustering, side: str, vertex: int, dest: int) -> float:
     """Delta of moving `vertex` into the existing cluster `dest`, scored as a sweep scores it."""
     eng = Engine(model)
-    _, dests, deltas = eng.move_options(side, vertex, eng.vertex_profiles(side)[vertex])
+    own = np.flatnonzero(eng.sides[side].idx == vertex)
+    _, dests, deltas = eng.move_options(side, vertex, eng.vertex_profiles(side, own)[vertex])
     return float(deltas[dests == dest][0])
 
 
-def _stored_grid(cells, shape) -> np.ndarray | None:
+def model_header(data) -> tuple[list[str], list[str], bool]:
+    """The source labels, target labels and `unified` flag of a model dict.
+
+    They say how to read the model's edge file, so they are checked before
+    it is read; a malformed field raises a ModelError that names it.
+    """
+    if not isinstance(data, dict):
+        raise ModelError("model JSON must be an object")
+    for name in ("source_labels", "target_labels"):
+        labels = data.get(name)
+        if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+            raise ModelError(f"{name} must list the vertex labels as strings")
+    unified = data.get("unified", False)
+    if not isinstance(unified, bool):
+        raise ModelError(f"unified must be true or false, got {unified!r}")
+    return data["source_labels"], data["target_labels"], unified
+
+
+def _int_array(data: dict, name: str, ndim: int, what: str) -> np.ndarray:
+    """data[name] as an `ndim`-dimensional int64 array; a ModelError names the field otherwise.
+
+    JSON floats, booleans, strings, nulls and integers beyond int64 are
+    all rejected, never truncated or wrapped.
+    """
+    if name not in data:
+        raise ModelError(f"model has no {name}")
+    try:
+        values = np.array(data[name])
+    except ValueError:  # ragged nesting
+        values = np.array(None)
+    if values.ndim != ndim or values.size and values.dtype != np.int64:
+        raise ModelError(f"{name} must list {what} as int64 integers")
+    return values.astype(np.int64)
+
+
+def _stored_grid(stored: np.ndarray, shape) -> np.ndarray | None:
     """The grid of stored [i, j, count] cells, or None if no grid of `shape` holds them."""
-    stored = np.array(cells, dtype=np.int64)
-    if stored.ndim != 2 or stored.shape[1] != 3:
+    if stored.shape[1] != 3:
         raise ModelError("cocluster_counts must list [i, j, count] cells")
     i, j, c = stored.T
     if np.any((i < 0) | (i >= shape[0]) | (j < 0) | (j >= shape[1]) | (c <= 0)):

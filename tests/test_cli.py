@@ -7,6 +7,7 @@ import pytest
 from modlcc import _engine, bench, cli
 from modlcc.cli import main
 from modlcc.combinatorics import CombinatoricsCache
+from modlcc.model import AuditError
 
 
 def run(capsys, *argv):
@@ -74,15 +75,44 @@ def test_generate_invalid_params_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("block-diagonal", "--blocks", "0"),
-    ("block-diagonal", "--blocks", "-1"),
+    ("block-diagonal", "--blocks", "0", "--m", "10"),
+    ("block-diagonal", "--blocks", "-1", "--m", "10"),
     ("undirected-pattern", "--cluster-size", "-2"),
     ("undirected-pattern", "--clusters", "0"),
 ])
 def test_generate_empty_or_negative_cluster_counts_exit_2(tmp_path, capsys, argv):
-    code, _, err = run(capsys, "generate", *argv, "--m", "10", "-o", str(tmp_path / "x"))
+    code, _, err = run(capsys, "generate", *argv, "-o", str(tmp_path / "x"))
     assert code == 2
     assert "must be >= 1" in err
+
+
+@pytest.mark.parametrize("family, argv, flags", [
+    ("circular", ("--blocks", "7", "--noise", "0.9"), "--blocks, --noise"),
+    ("blockmodel", ("--n", "50"), "--n"),
+    ("undirected-pattern", ("--m", "5", "--n", "3"), "--n, --m"),
+    ("block-diagonal", ("--clusters", "9", "--intra", "0.5"), "--clusters, --intra"),
+])
+def test_generate_rejects_options_of_other_families(tmp_path, capsys, family, argv, flags):
+    code, _, err = run(capsys, "generate", family, *argv, "-o", str(tmp_path / "g"))
+    assert code == 2
+    # the flags in the order of `modlcc generate --help`
+    assert err == f"error: {flags}: not used by the {family} family\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("family, m, params", [
+    ("circular", 1000, {"n": 100}),
+    ("block-diagonal", 1000, {"n": 100, "blocks": 2, "noise_rate": 0.0}),
+    ("blockmodel", 1000, {}),
+    # draws each vertex pair once; the spec still records the default m
+    ("undirected-pattern", 1000, {"cluster_count": 4, "cluster_size": 10, "intra": 0.8, "inter": 0.1}),
+])
+def test_generate_family_defaults(tmp_path, capsys, family, m, params):
+    prefix = str(tmp_path / "g")
+    code, _, err = run(capsys, "generate", family, "-o", prefix)
+    assert code == 0, err
+    spec = json.load(open(prefix + ".spec.json"))
+    assert (spec["m"], spec["params"]) == (m, params)
 
 
 def test_bench_clusters_zero_blocks_exit_2(tmp_path, capsys):
@@ -158,6 +188,24 @@ def test_fit_unexpected_exception_exit_5(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("exc, code", [
+    (AuditError("counts differ"), 4),
+    (ValueError("bad value"), 2),
+    (OSError("disk gone"), 3),
+    (KeyError("lost"), 5),
+])
+def test_exit_code_follows_exception_class(tmp_path, capsys, monkeypatch, exc, code):
+    def failing_fit(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "vns_fit", failing_fit)
+    edges = tmp_path / "e.tsv"
+    edges.write_text("a\tb\n")
+    got, _, err = run(capsys, "fit", str(edges), "-o", str(tmp_path / "m.json"))
+    assert got == code
+    assert err == (f"error: {exc}\n" if code != 5 else f"error: internal error: KeyError: {exc}\n")
+
+
 def test_unknown_flag_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "x.tsv", "-o", "y.json", "--bogus"])
@@ -195,6 +243,51 @@ def test_consistency_audit_exit_4(tmp_path, capsys):
                        "--clusters", "1,1")
     assert code == 4
     assert "consistency audit failed" in err
+
+
+def _broken_models(model):
+    """name -> (model document with one field broken, the start of its error message)."""
+    def edit(key, value):
+        doc = copy.deepcopy(model)
+        doc[key] = value
+        return doc
+
+    assign = model["source_assignment"]
+    counts = copy.deepcopy(model["cocluster_counts"])
+    counts[0][2] = 2**70
+    missing = dict(model)
+    del missing["source_assignment"]
+    return {
+        "list": ([model], "model JSON must be an object"),
+        "no-assignment": (missing, "model has no source_assignment"),
+        "null-assignment": (edit("source_assignment", None), "source_assignment must list"),
+        "object-counts": (edit("cocluster_counts", {"0": 1}), "cocluster_counts must list"),
+        "1e30-assignment": (edit("source_assignment", [1e30] + assign[1:]), "source_assignment must list"),
+        "2**70-count": (edit("cocluster_counts", counts), "cocluster_counts must list"),
+        "float-assignment": (edit("source_assignment", [assign[0] + 0.5] + assign[1:]),
+                             "source_assignment must list"),
+        # an id far above n: no bincount of 2**40 entries
+        "2**40-assignment": (edit("source_assignment", [2**40] + assign[1:]),
+                             "source partition has an empty cluster"),
+        "unified-yes": (edit("unified", "yes"), "unified must be true or false, got 'yes'"),
+        "int-labels": (edit("target_labels", 5), "target_labels must list the vertex labels"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "list", "no-assignment", "null-assignment", "object-counts", "1e30-assignment", "2**70-count",
+    "float-assignment", "2**40-assignment", "unified-yes", "int-labels",
+])
+@pytest.mark.parametrize("command", ["coarsen", "evaluate"])
+def test_malformed_model_file_exit_2(tmp_path, capsys, case, command):
+    prefix, model_path, _ = gen_and_fit(tmp_path, capsys)
+    doc, message = _broken_models(json.load(open(model_path)))[case]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    extra = ["--clusters", "1,1"] if command == "coarsen" else []
+    code, _, err = run(capsys, command, str(broken), prefix + ".tsv", *extra)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
 
 
 def test_density_cell_and_full(tmp_path, capsys):

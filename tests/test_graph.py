@@ -78,6 +78,26 @@ def test_malformed_line_errors_carry_line_number():
         parse_edge_list("a\tb\t0\n")
 
 
+INT64_MAX = 2**63 - 1
+
+
+def test_counts_beyond_int64_rejected():
+    with pytest.raises(EdgeListError, match="^line 2: count 99999999999999999999999 out of range$"):
+        parse_edge_list("a\tb\na\tb\t99999999999999999999999\n")
+    # totals in [2^63, 2^64) wrap the int64 sum; a repeated cell wraps its own sum
+    for text in (f"a\tb\t{INT64_MAX}\nb\ta\t{INT64_MAX}\n", f"a\tb\t{INT64_MAX}\n" * 3):
+        with pytest.raises(EdgeListError, match=f"^total edge count exceeds {INT64_MAX}$"):
+            parse_edge_list(text)
+
+
+@pytest.mark.parametrize("counts", [[INT64_MAX, 1], [INT64_MAX] * 3, [2**62] * 8])
+def test_sample_rejects_a_total_beyond_int64(counts):
+    n = len(counts)
+    labels = [str(i) for i in range(n)]
+    with pytest.raises(EdgeListError, match=f"^total edge count exceeds {INT64_MAX}$"):
+        MultigraphSample(labels, labels, (np.arange(n), np.arange(n), np.array(counts)))
+
+
 def test_empty_input_no_edges():
     with pytest.raises(EdgeListError, match="no edges"):
         parse_edge_list("")

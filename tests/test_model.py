@@ -7,6 +7,7 @@ from modlcc import _engine
 from modlcc.combinatorics import CombinatoricsCache
 from modlcc.graph import MultigraphSample, parse_edge_list
 from modlcc.model import (
+    AuditError,
     Coclustering,
     ModelError,
     NEW_CLUSTER,
@@ -23,7 +24,7 @@ from oracles import (
     random_assignment,
     random_sample,
 )
-from test_graph import multigraph_sample, VOCAB
+from test_graph import multigraph_sample, MULTI_TSV, VOCAB
 
 
 def clustered_example():
@@ -262,3 +263,24 @@ def test_verify_consistent_detects_mismatched_sample():
     other = parse_edge_list("A\tB\t13\n", unify=True, vocabulary=VOCAB)
     with pytest.raises(ModelError, match="consistency audit failed"):
         model.verify_consistent(other)
+
+
+def test_audit_failures_raise_audit_error():
+    model = clustered_example()
+    universe = parse_edge_list("A\tB\t13\n", unify=True, vocabulary=VOCAB[:-1])
+    cells = parse_edge_list(MULTI_TSV.replace("A\tB", "A\tC"), unify=True, vocabulary=VOCAB)
+    # one cocluster of 5 edges in both, over other degrees
+    labels = list("AB")
+    fitted = null_model(MultigraphSample(labels, labels, {(0, 0): 2, (1, 1): 3}))
+    degrees = MultigraphSample(labels, labels, {(0, 0): 3, (1, 1): 2})
+    for call, message in (
+        (lambda: model.verify_consistent(universe), "vertex universes differ"),
+        (lambda: model.verify_consistent(cells), "cocluster counts differ"),
+        (lambda: fitted.verify_consistent(degrees), "vertex degrees differ"),
+    ):
+        with pytest.raises(AuditError, match=f"consistency audit failed: {message}"):
+            call()
+    doc = model.to_dict()
+    doc["cocluster_counts"][0][2] += 1
+    with pytest.raises(AuditError, match="stored cocluster counts differ"):
+        Coclustering.from_dict(doc, model.sample)

@@ -18,7 +18,13 @@ outputs are
   them, so the digests read against its `GOLDEN_FITS`;
 - `build_dendrogram(...).to_dict()` of a tie-heavy ER case: 1000 vertices
   and 3000 edges, the sources in 5 random clusters and the targets as
-  singletons, so that thousands of equal-degree pairs tie at each merge.
+  singletons, so that thousands of equal-degree pairs tie at each merge;
+- the exit code and the stderr digest of each invocation in `FAILURES`,
+  which covers every documented error path of the CLI (exit 2, 3 and 4)
+  and malformed inputs that once crashed (exit 5) or passed (exit 0).
+  They run in a fresh directory with relative paths, and warnings print
+  without their source path, so no stderr digest depends on where the
+  checkout lies.
 
 The program is imported from this checkout's `src/`, and the inputs are
 built by the benchmark's own `perfbench/inputs.py`, with the same calls
@@ -32,6 +38,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -45,6 +52,118 @@ from modlcc.synthgen import gen_block_diagonal, gen_blockmodel  # noqa: E402
 
 BATCH_GRAPHS = 800
 GOLDEN_M = (20_000, 40_000)
+INT64_MAX = 2**63 - 1
+
+# (name, argv) of failing invocations.  bd.tsv is a small generated sample;
+# model.json and directed.json are its unified and directed fits; model
+# files named after a field hold model.json with that field broken.
+FAILURES = [
+    ("missing edge file", ["fit", "nope.tsv", "-o", "m.json"]),
+    ("unwritable model", ["fit", "bd.tsv", "-o", "no-dir/m.json", "--rounds", "1"]),
+    ("bad count", ["fit", "bad.tsv", "-o", "m.json"]),
+    ("rounds 0", ["fit", "bd.tsv", "-o", "m.json", "--rounds", "0"]),
+    ("bad model JSON", ["coarsen", "bad.json", "bd.tsv", "--clusters", "1,1"]),
+    ("audit", ["coarsen", "model.json", "short.tsv", "--clusters", "1,1"]),
+    ("bad --clusters", ["coarsen", "model.json", "bd.tsv", "--clusters", "x"]),
+    ("cut out of range", ["coarsen", "model.json", "bd.tsv", "--clusters", "0,1"]),
+    ("bad --cell", ["density", "model.json", "bd.tsv", "--cell", "0,99"]),
+    ("modularity of a directed model", ["evaluate", "directed.json", "bd.tsv", "--modularity"]),
+    ("bench --reps 0", ["bench", "clusters", "--sizes", "20", "--reps", "0", "--n", "6"]),
+    ("bench --sizes", ["bench", "clusters", "--sizes", "200,100"]),
+    ("bench convergence --n", ["bench", "convergence", "--sizes", "100", "--reps", "1", "--n", "1"]),
+    ("bench generator error", ["bench", "clusters", "--sizes", "20", "--reps", "1", "--rounds", "1",
+                               "--n", "6", "--blocks", "0"]),
+    ("generator error", ["generate", "block-diagonal", "--n", "5", "--blocks", "9", "--m", "10", "-o", "g"]),
+    ("unwritable -o", ["generate", "circular", "--n", "20", "--m", "50", "-o", "no-dir/g"]),
+    # these exited 5 or 0 before they were mended
+    ("count beyond int64", ["fit", "huge.tsv", "-o", "m.json"]),
+    ("total beyond int64", ["fit", "total.tsv", "-o", "m.json"]),
+    ("model list", ["coarsen", "list.json", "bd.tsv", "--clusters", "1,1"]),
+    ("no source_assignment", ["coarsen", "no_source_assignment.json", "bd.tsv", "--clusters", "1,1"]),
+    ("null source_assignment", ["evaluate", "null_source_assignment.json", "bd.tsv"]),
+    ("cocluster_counts object", ["coarsen", "object_counts.json", "bd.tsv", "--clusters", "1,1"]),
+    ("assignment 1e30", ["evaluate", "huge_assignment.json", "bd.tsv"]),
+    ("count 2**70", ["coarsen", "huge_count.json", "bd.tsv", "--clusters", "1,1"]),
+    ("float assignment", ["coarsen", "float_assignment.json", "bd.tsv", "--clusters", "1,1"]),
+    ("unified yes", ["evaluate", "unified_yes.json", "bd.tsv"]),
+    ("circular --blocks --noise", ["generate", "circular", "--blocks", "7", "--noise", "0.9", "-o", "g"]),
+    ("blockmodel --n", ["generate", "blockmodel", "--n", "50", "-o", "g"]),
+    ("undirected-pattern --m --n", ["generate", "undirected-pattern", "--m", "5", "--n", "3", "-o", "g"]),
+    ("block-diagonal --clusters --intra", ["generate", "block-diagonal", "--clusters", "9", "--intra", "0.5",
+                                           "-o", "g"]),
+]
+
+
+def broken_models(model: dict) -> dict:
+    """File name -> model document with one field broken."""
+    def edit(key, value):
+        doc = json.loads(json.dumps(model))
+        doc[key] = value
+        return doc
+
+    assign = model["source_assignment"]
+    counts = [list(cell) for cell in model["cocluster_counts"]]
+    counts[0][2] = 2**70
+    without = dict(model)
+    del without["source_assignment"]
+    return {
+        "list.json": [model],
+        "no_source_assignment.json": without,
+        "null_source_assignment.json": edit("source_assignment", None),
+        "object_counts.json": edit("cocluster_counts", {"0": 1}),
+        "huge_assignment.json": edit("source_assignment", [1e30] + assign[1:]),
+        "huge_count.json": edit("cocluster_counts", counts),
+        "float_assignment.json": edit("source_assignment", [assign[0] + 0.5] + assign[1:]),
+        "unified_yes.json": edit("unified", "yes"),
+    }
+
+
+def cli_run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of one in-process `modlcc` run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            # every warning, without the source path it would print
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, category, *_: print(
+                f"{category.__name__}: {message}", file=sys.stderr)
+            code = cli_main(argv)
+    return code, err.getvalue()
+
+
+def error_paths():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for argv in (["generate", "block-diagonal", "--n", "10", "--blocks", "2", "--noise", "0",
+                          "--m", "400", "--seed", "5", "-o", "bd"],
+                         ["fit", "bd.tsv", "-o", "model.json", "--seed", "7", "--rounds", "2",
+                          "--unify-vertices"],
+                         ["fit", "bd.tsv", "-o", "directed.json", "--rounds", "1"]):
+                code, err = cli_run(argv)
+                if code != 0:
+                    raise SystemExit(f"modlcc {' '.join(argv)} exited {code}: {err}")
+            with open("bd.tsv") as fh:
+                lines = fh.readlines()
+            files = {
+                "short.tsv": "".join(lines[:-10]),
+                "bad.tsv": "a\tb\tx\n",
+                "bad.json": "{",
+                "huge.tsv": "a\tb\t99999999999999999999999\n",
+                "total.tsv": f"a\tb\t{INT64_MAX}\nb\ta\t{INT64_MAX}\n",
+            }
+            with open("model.json") as fh:
+                model = json.load(fh)
+            files.update((name, json.dumps(doc)) for name, doc in broken_models(model).items())
+            for name, text in files.items():
+                with open(name, "w") as fh:
+                    fh.write(text)
+            for name, argv in FAILURES:
+                code, err = cli_run(argv)
+                print(f"error path {name}: exit {code} stderr {sha256(err.encode())}", flush=True)
+        finally:
+            os.chdir(cwd)
 
 
 def sha256(data: bytes) -> str:
@@ -74,6 +193,7 @@ def without_deltas(cut_file: bytes) -> bytes:
 
 
 def main():
+    error_paths()
     with tempfile.TemporaryDirectory() as work:
         for seed in (1, 2, 3):
             (edges, _), _ = inputs.fit_large_input(seed, work)
