@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import shared_cache
+from .graph import int_bincount
 
 # each side's opposite, whose clusters index the columns of `Engine.rows(side)`
 OTHER_SIDE = {"source": "target", "target": "source"}
@@ -203,9 +204,9 @@ class Engine:
         """
         s, o = self.sides[side], self.sides[OTHER_SIDE[side]]
         cap = self.rows(side).shape[1]
-        # one key per (vertex, other-side cluster); the float sums of integer counts are exact
+        # one key per (vertex, other-side cluster)
         keys, inverse = np.unique(s.idx[cells] * cap + o.assign[o.idx[cells]], return_inverse=True)
-        cnts = np.bincount(inverse, weights=self.sample.counts[cells], minlength=len(keys)).astype(np.int64)
+        cnts = int_bincount(inverse, self.sample.counts[cells], len(keys))
         cols = keys % cap
         gain = self._gain_table(side, cnts)
         ptr = np.searchsorted(keys, np.arange(s.n + 1, dtype=np.int64) * cap).tolist()

@@ -34,6 +34,13 @@ def _total(counts: np.ndarray) -> int:
     return total
 
 
+def int_bincount(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:
+    """The int64 sums of `counts` into `length` bins by `index`; exact, unlike a float `bincount`."""
+    sums = np.zeros(length, dtype=np.int64)
+    np.add.at(sums, index, counts)
+    return sums
+
+
 class MultigraphSample:
     """A directed multigraph observed as a sample of m edges.
 
@@ -42,9 +49,11 @@ class MultigraphSample:
     one vocabulary (and one index per vertex).
 
     The nonzero cells are stored once, as COO arrays ``src_idx``,
-    ``tgt_idx`` and ``counts`` in row-major cell order.  ``edges`` may be
-    given either as those three arrays (sorted, distinct cells) or as a
-    ``{(i, j): count}`` mapping, which is sorted into them.
+    ``tgt_idx`` and ``counts`` in row-major cell order.  ``edges`` is three
+    columns (source index, target index, count), in any order and with
+    repeated cells, whose counts are summed exactly in int64; columns whose
+    keys i * n_T + j strictly increase skip the sort.  A ``{(i, j): count}``
+    mapping is read as the same columns.
     """
 
     def __init__(
@@ -55,14 +64,11 @@ class MultigraphSample:
         unified: bool = False,
     ):
         if isinstance(edges, Mapping):
-            cells = sorted(edges.items())
-            edges = (
-                [i for (i, _), _ in cells],
-                [j for (_, j), _ in cells],
-                [c for _, c in cells],
-            )
-        src_idx, tgt_idx, counts = (np.asarray(a, dtype=np.int64) for a in edges)
-        if not len(counts):
+            edges = ([i for i, _ in edges], [j for _, j in edges], list(edges.values()))
+        src_idx, tgt_idx = (np.asarray(a, dtype=np.int64) for a in edges[:2])
+        if not len(src_idx) == len(tgt_idx) == len(edges[2]):
+            raise EdgeListError("source, target and count columns differ in length")
+        if not len(src_idx):
             raise EdgeListError("no edges")
         if unified and source_labels != target_labels:
             raise EdgeListError("unified sample requires identical source/target labels")
@@ -71,20 +77,28 @@ class MultigraphSample:
         self.unified = unified
         n_s, n_t = len(self.source_labels), len(self.target_labels)
 
-        if counts.min() < 1:
-            raise EdgeListError("edge counts must be positive")
         if src_idx.min() < 0 or src_idx.max() >= n_s:
             raise EdgeListError("source index out of range")
         if tgt_idx.min() < 0 or tgt_idx.max() >= n_t:
             raise EdgeListError("target index out of range")
         key = src_idx * n_t + tgt_idx
+        inverse = None
         if (key[1:] <= key[:-1]).any():
-            raise EdgeListError("cells must be distinct and in row-major order")
-        self.src_idx, self.tgt_idx, self.counts = src_idx, tgt_idx, counts
-
+            # unordered or repeated cells; the sort runs with only the keys alive (peak RSS)
+            del src_idx, tgt_idx
+            key, inverse = np.unique(key, return_inverse=True)
+            src_idx, tgt_idx = np.divmod(key, n_t)
+        # the per-entry counts are built after the sort for the same reason
+        counts = np.asarray(edges[2], dtype=np.int64)
+        if counts.min() < 1:
+            raise EdgeListError("edge counts must be positive")
+        # a total within int64 bounds every cell's sum below
         self.m = _total(counts)
-        self.out_degrees = np.bincount(src_idx, weights=counts, minlength=n_s).astype(np.int64)
-        self.in_degrees = np.bincount(tgt_idx, weights=counts, minlength=n_t).astype(np.int64)
+        if inverse is not None:
+            counts = int_bincount(inverse, counts, len(key))
+        self.src_idx, self.tgt_idx, self.counts = src_idx, tgt_idx, counts
+        self.out_degrees = int_bincount(src_idx, counts, n_s)
+        self.in_degrees = int_bincount(tgt_idx, counts, n_t)
 
     @functools.cached_property
     def edges(self) -> dict[tuple[int, int], int]:
@@ -126,15 +140,12 @@ _HEADERS = (["source", "target"], ["source", "target", "count"])
 
 
 def _read_lines(data) -> list[str]:
+    if hasattr(data, "read"):
+        data = data.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     if isinstance(data, str):
         return data.splitlines()
-    if hasattr(data, "read"):
-        raw = data.read()
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        return raw.splitlines()
     return [str(line).rstrip("\n") for line in data]
 
 
@@ -207,21 +218,6 @@ def parse_edge_list(
             add_tgt(tgt_id(s, len(tgt_index)))
             add_cnt(c)
 
-    if not cnts:
-        raise EdgeListError("no edges")
     source_labels = list(src_index)
     target_labels = source_labels if unify else list(tgt_index)
-    # aggregate repeated lines into cells, sorted by the row-major key
-    # i * n_T + j; integer sums, exact as the per-line counts are, and no
-    # cell's sum wraps once the total of the lines fits int64
-    n_t = len(target_labels)
-    key = np.array(srcs, dtype=np.int64) * n_t + np.array(tgts, dtype=np.int64)
-    cells, inverse = np.unique(key, return_inverse=True)
-    line_counts = np.array(cnts, dtype=np.int64)
-    _total(line_counts)
-    counts = np.zeros(len(cells), dtype=np.int64)
-    np.add.at(counts, inverse, line_counts)
-    # kept alive while the sample is built, the copy raised explore's peak RSS by 3 MB
-    del line_counts
-    src_idx, tgt_idx = np.divmod(cells, n_t)
-    return MultigraphSample(source_labels, target_labels, (src_idx, tgt_idx, counts), unified=unify)
+    return MultigraphSample(source_labels, target_labels, (srcs, tgts, cnts), unified=unify)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._engine import Engine
-from .graph import MultigraphSample
+from .graph import MultigraphSample, int_bincount
 
 __all__ = [
     "ModelError",
@@ -134,8 +134,7 @@ class Coclustering:
             self.source_assignment[sample.src_idx] * self.k_target
             + self.target_assignment[sample.tgt_idx]
         )
-        grid = np.bincount(flat, weights=sample.counts, minlength=self.k_source * self.k_target)
-        grid = grid.astype(np.int64).reshape(self.k_source, self.k_target)
+        grid = int_bincount(flat, sample.counts, self.k_source * self.k_target).reshape(self.k_source, -1)
         self.cocluster_grid = grid
         self.source_cluster_margins = grid.sum(axis=1)
         self.target_cluster_margins = grid.sum(axis=0)
@@ -244,7 +243,8 @@ class Coclustering:
 
     @classmethod
     def from_dict(cls, data: dict, sample: MultigraphSample) -> "Coclustering":
-        """The model that `to_dict` wrote, over `sample`; its stored counts are audited."""
+        """The model that `to_dict` wrote, over `sample`; its `cocluster_counts` are audited
+        whenever the key is present, whatever its value, and a file without the key loads unaudited."""
         source_labels, target_labels, _ = model_header(data)
         if source_labels != sample.source_labels or target_labels != sample.target_labels:
             raise ModelError("model labels do not match the sample")
@@ -253,7 +253,7 @@ class Coclustering:
             _int_array(data, "source_assignment", 1, "cluster ids"),
             _int_array(data, "target_assignment", 1, "cluster ids"),
         )
-        if data.get("cocluster_counts"):
+        if "cocluster_counts" in data:
             stored = _stored_grid(_int_array(data, "cocluster_counts", 2, "[i, j, count] cells"),
                                   model.cocluster_grid.shape)
             if stored is None or not np.array_equal(stored, model.cocluster_grid):

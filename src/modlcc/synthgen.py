@@ -55,7 +55,8 @@ def _labels(n: int) -> list[str]:
 
 
 def _sample_from_cells(n, src, tgt):
-    """Unified sample of the edges (src[e], tgt[e]) over n vertices, aggregated into sorted cells."""
+    """Unified sample of the edges (src[e], tgt[e]) over n vertices, counted here into sorted
+    cells, which the sample keeps without a sort: less memory than its sum of unit edges."""
     cells, counts = np.unique(src * n + tgt, return_counts=True)
     labels = _labels(n)
     return MultigraphSample(labels, labels, (*np.divmod(cells, n), counts), unified=True)

@@ -271,12 +271,16 @@ def _broken_models(model):
                              "source partition has an empty cluster"),
         "unified-yes": (edit("unified", "yes"), "unified must be true or false, got 'yes'"),
         "int-labels": (edit("target_labels", 5), "target_labels must list the vertex labels"),
+        # falsy values are audited too: only a file without the key skips the audit
+        **{f"{name}-counts": (edit("cocluster_counts", value), "cocluster_counts must list")
+           for name, value in (("empty", []), ("null", None), ("zero", 0), ("false", False), ("blank", ""))},
     }
 
 
 @pytest.mark.parametrize("case", [
     "list", "no-assignment", "null-assignment", "object-counts", "1e30-assignment", "2**70-count",
     "float-assignment", "2**40-assignment", "unified-yes", "int-labels",
+    "empty-counts", "null-counts", "zero-counts", "false-counts", "blank-counts",
 ])
 @pytest.mark.parametrize("command", ["coarsen", "evaluate"])
 def test_malformed_model_file_exit_2(tmp_path, capsys, case, command):

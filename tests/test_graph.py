@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -156,11 +157,53 @@ def test_sample_rejects_bad_arrays():
         ([0, 2], [0, 0], [1, 1]),
         ([0, 1], [0, -1], [1, 1]),
         ([0, 1], [0, 0], [1, 0]),
-        ([1, 0], [0, 0], [1, 1]),  # not in row-major order
-        ([0, 0], [1, 1], [1, 1]),  # repeated cell
+        ([0, 1], [0, 0], [1]),  # columns of different lengths
     ):
         with pytest.raises(EdgeListError):
             MultigraphSample(labels, labels, (np.array(src), np.array(tgt), np.array(counts)))
+
+
+@st.composite
+def split_cells(draw):
+    """(labels, {(i, j): count}, the same cells as columns): the entries come
+    shuffled, and each cell's count is split over up to 4 repeated entries."""
+    n_s, n_t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    keys = st.tuples(st.integers(0, n_s - 1), st.integers(0, n_t - 1))
+    cells = draw(st.dictionaries(keys, st.integers(1, 2**60), min_size=1, max_size=6))
+    entries = []
+    for (i, j), count in cells.items():
+        cuts = sorted(draw(st.sets(st.integers(1, max(count - 1, 1)), max_size=min(count - 1, 3))))
+        entries += [(i, j, hi - lo) for lo, hi in zip([0] + cuts, cuts + [count])]
+    entries = draw(st.permutations(entries))
+    columns = [list(col) for col in zip(*entries)]
+    if draw(st.booleans()):
+        columns = [np.array(col) for col in columns]
+    return ([f"s{i}" for i in range(n_s)], [f"t{j}" for j in range(n_t)]), cells, tuple(columns)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(split_cells())
+def test_shuffled_and_split_columns_build_the_mapping_sample(case):
+    (labels_s, labels_t), cells, columns = case
+    from_map = MultigraphSample(labels_s, labels_t, cells)
+    from_columns = MultigraphSample(labels_s, labels_t, columns)
+    for name in ("src_idx", "tgt_idx", "counts", "out_degrees", "in_degrees"):
+        a, b = getattr(from_map, name), getattr(from_columns, name)
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), name
+    assert from_map.m == from_columns.m == sum(cells.values())
+    assert list(from_columns.edges.items()) == list(from_map.edges.items()) == sorted(cells.items())
+
+
+def test_degrees_sum_exactly_in_int64():
+    # float64 sums would cast 2^63 - 1 to -2^63 and round 2^53 + 1 to 2^53
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = MultigraphSample(["a"], ["b"], {(0, 0): INT64_MAX})
+    assert one.out_degrees.tolist() == one.in_degrees.tolist() == [INT64_MAX]
+    sample = MultigraphSample(["a", "b"], ["c"], {(0, 0): 2**53 + 1, (1, 0): 1})
+    assert sample.m == 2**53 + 2
+    assert sample.in_degrees.tolist() == [sample.m]
+    assert sample.out_degrees.tolist() == [2**53 + 1, 1]
 
 
 def test_mapping_and_arrays_build_the_same_sample():

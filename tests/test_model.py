@@ -238,6 +238,23 @@ def test_from_dict_audits_cells_off_the_grid(cell):
         Coclustering.from_dict(doc, model.sample)
 
 
+def test_from_dict_audits_counts_whenever_the_key_is_present():
+    model = clustered_example()
+    doc = model.to_dict()
+    for value in ([], None, 0, False, ""):
+        doc["cocluster_counts"] = value
+        with pytest.raises(ModelError, match="cocluster_counts must list"):
+            Coclustering.from_dict(doc, model.sample)
+    del doc["cocluster_counts"]
+    assert np.array_equal(Coclustering.from_dict(doc, model.sample).cocluster_grid, model.cocluster_grid)
+
+
+def test_grid_sums_exactly_in_int64():
+    sample = MultigraphSample(["a", "b"], ["c"], {(0, 0): 2**53 + 1, (1, 0): 1})
+    grid = Coclustering(sample, [0, 0], [0]).cocluster_grid
+    assert grid.dtype == np.int64 and grid.tolist() == [[2**53 + 2]]
+
+
 def test_from_dict_rejects_malformed_cells():
     model = clustered_example()
     doc = model.to_dict()

@@ -6,6 +6,11 @@ Run it on two checkouts and compare the printed lines: a change that keeps
 the search and the merge path unchanged prints the same digests.  The
 outputs are
 
+- the ingested sample (its cell arrays, degrees and m) of the fit-large
+  and explore edge files, seeds 1-3, parsed as `fit --unify-vertices` and
+  `coarsen` parse them, and of the generator samples they are written
+  from, so that a change to how cells are summed and ordered shows here
+  before it shows in any model;
 - the model file of `modlcc fit` on the fit-large input, seeds 1-3;
 - `vns_fit(rounds=3).to_dict()` on the 800 fit-batch graphs of seeds 1-2,
   one digest per seed over all graphs in order;
@@ -48,6 +53,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import inputs  # noqa: E402
 from modlcc import Coclustering, FitConfig, build_dendrogram, parse_edge_list, vns_fit  # noqa: E402
 from modlcc.cli import main as cli_main  # noqa: E402
+from modlcc.model import model_header  # noqa: E402
 from modlcc.synthgen import gen_block_diagonal, gen_blockmodel  # noqa: E402
 
 BATCH_GRAPHS = 800
@@ -86,6 +92,11 @@ FAILURES = [
     ("count 2**70", ["coarsen", "huge_count.json", "bd.tsv", "--clusters", "1,1"]),
     ("float assignment", ["coarsen", "float_assignment.json", "bd.tsv", "--clusters", "1,1"]),
     ("unified yes", ["evaluate", "unified_yes.json", "bd.tsv"]),
+    ("cocluster_counts []", ["coarsen", "empty_counts.json", "bd.tsv", "--clusters", "1,1"]),
+    ("cocluster_counts null", ["evaluate", "null_counts.json", "bd.tsv"]),
+    ("cocluster_counts 0", ["coarsen", "zero_counts.json", "bd.tsv", "--clusters", "1,1"]),
+    ("cocluster_counts false", ["evaluate", "false_counts.json", "bd.tsv"]),
+    ("cocluster_counts empty string", ["coarsen", "blank_counts.json", "bd.tsv", "--clusters", "1,1"]),
     ("circular --blocks --noise", ["generate", "circular", "--blocks", "7", "--noise", "0.9", "-o", "g"]),
     ("blockmodel --n", ["generate", "blockmodel", "--n", "50", "-o", "g"]),
     ("undirected-pattern --m --n", ["generate", "undirected-pattern", "--m", "5", "--n", "3", "-o", "g"]),
@@ -115,6 +126,11 @@ def broken_models(model: dict) -> dict:
         "huge_count.json": edit("cocluster_counts", counts),
         "float_assignment.json": edit("source_assignment", [assign[0] + 0.5] + assign[1:]),
         "unified_yes.json": edit("unified", "yes"),
+        "empty_counts.json": edit("cocluster_counts", []),
+        "null_counts.json": edit("cocluster_counts", None),
+        "zero_counts.json": edit("cocluster_counts", 0),
+        "false_counts.json": edit("cocluster_counts", False),
+        "blank_counts.json": edit("cocluster_counts", ""),
     }
 
 
@@ -185,6 +201,34 @@ def cli_file(argv: list[str], out_path: str) -> bytes:
         return fh.read()
 
 
+def sample_digest(sample) -> str:
+    """Digest of a sample's cell arrays, degrees and m, each array with its dtype and shape."""
+    h = hashlib.sha256()
+    for a in (sample.src_idx, sample.tgt_idx, sample.counts, sample.out_degrees, sample.in_degrees):
+        h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    h.update(str(sample.m).encode())
+    return h.hexdigest()
+
+
+def ingest_digests(work: str):
+    for name, params, write in (("fit-large", inputs.FIT_LARGE, inputs.fit_large_input),
+                                ("explore", inputs.EXPLORE, inputs.explore_input)):
+        for seed in (1, 2, 3):
+            sample, _, _ = inputs.block_diagonal(params["n"], params["blocks"], params["noise"], params["m"], seed)
+            print(f"ingest {name} seed {seed} generator: {sample_digest(sample)}", flush=True)
+            paths, _ = write(seed, work)
+            with open(paths[0], encoding="utf-8") as fh:
+                text = fh.read()
+            if name == "fit-large":
+                parsed = parse_edge_list(text, unify=True)
+            else:
+                with open(paths[1], encoding="utf-8") as fh:
+                    header = model_header(json.load(fh))
+                parsed = parse_edge_list(text, unify=header[2], vocabulary=header[0],
+                                         target_vocabulary=header[1])
+            print(f"ingest {name} seed {seed} tsv: {sample_digest(parsed)}", flush=True)
+
+
 def without_deltas(cut_file: bytes) -> bytes:
     doc = json.loads(cut_file)
     for rec in doc["merge_path"]:
@@ -195,6 +239,7 @@ def without_deltas(cut_file: bytes) -> bytes:
 def main():
     error_paths()
     with tempfile.TemporaryDirectory() as work:
+        ingest_digests(work)
         for seed in (1, 2, 3):
             (edges, _), _ = inputs.fit_large_input(seed, work)
             out = os.path.join(work, "large.json")
