@@ -297,6 +297,8 @@ class DictSample:
     def __init__(self, source_labels, target_labels, edges, unified):
         if not edges:
             raise DictEdgeListError("no edges")
+        if sum(edges.values()) > 2**63 - 1:
+            raise DictEdgeListError(f"total edge count exceeds {2**63 - 1}")
         self.source_labels = list(source_labels)
         self.target_labels = list(target_labels)
         self.unified = unified
@@ -372,6 +374,8 @@ def dict_parse_edge_list(data, unify=False, undirected=False, vocabulary=None,
                 raise DictEdgeListError(f"line {lineno}: count {fields[2]!r} is not an integer") from None
             if c <= 0:
                 raise DictEdgeListError(f"line {lineno}: count must be positive, got {c}")
+            if c > 2**63 - 1:
+                raise DictEdgeListError(f"line {lineno}: count {c} out of range")
         else:
             c = 1
         seen_data = True

@@ -163,6 +163,28 @@ def test_sample_rejects_bad_arrays():
             MultigraphSample(labels, labels, (np.array(src), np.array(tgt), np.array(counts)))
 
 
+@pytest.mark.parametrize("columns", [
+    ([0, 1], [0, 0], [1.7, 2.2]),  # float counts, once truncated to [1, 2]
+    ([0.9, 1], [0, 0], [1, 1]),  # a float source index, once truncated to 0
+    ([0, 1], [0, 0], [1, 2**63]),  # read as float64
+    ([0], [0], [2**63]),  # read as uint64, once a bare OverflowError
+    ([0], [0], [2**70]),  # read as objects
+    ([0], [0], ["1"]),
+    ([True], [0], [1]),
+])
+def test_sample_rejects_non_integer_and_out_of_range_columns(columns):
+    with pytest.raises(EdgeListError, match="^edge columns must hold int64 integers$"):
+        MultigraphSample(["a", "b"], ["c"], columns)
+
+
+def test_sample_takes_any_integer_columns_within_int64():
+    sample = MultigraphSample(["a", "b"], ["c"], (np.array([1, 0], dtype=np.uint64), np.zeros(2, dtype=np.int8),
+                                                  np.array([2, INT64_MAX - 2], dtype=np.uint64)))
+    assert sample.counts.dtype == np.int64 and sample.counts.tolist() == [INT64_MAX - 2, 2]
+    with pytest.raises(EdgeListError, match="^no edges$"):
+        MultigraphSample(["a"], ["b"], (np.array([]), np.array([]), np.array([])))
+
+
 @st.composite
 def split_cells(draw):
     """(labels, {(i, j): count}, the same cells as columns): the entries come
@@ -232,9 +254,16 @@ def test_edges_derived_on_first_read():
 
 # -- the columnar parser against the dict-based one -------------------------------------
 
-LABELS = ["a", "b", "a b", " c", "d ", "source", "Target", "x y"]
-# mostly valid counts, so that most texts parse; the last four are rejected
-COUNTS = ["1", "2", " 3", "+2", "12"] * 6 + ["0", "-1", "x", ""]
+# labels that start with whitespace, a control byte or a non-ASCII byte, hold
+# a NUL (which pads no key), or are longer than 8 bytes and share a prefix
+LABELS = ["a", "b", "a b", " c", "d ", "source", "Target", "x y", "\xa0a", "a\x00", "é", "abcdefgh9",
+          "abcdefgh9abcdefgh_20"]
+# a target may start with "#"; as a source it makes the line a comment
+TARGETS = LABELS + ["#a"]
+# mostly valid counts, so that most texts parse; the others are rejected, or
+# are not plain digits, or lie at the int64 bounds and beyond 18 digits
+COUNTS = ["1", "2", " 3", "+2", "12", "007", "1_0", "\u0663"] * 5 + [
+    "0", "-1", "x", "", "9223372036854775807", "9223372036854775808", "99999999999999999999"]
 BLANKS = ["", "  ", "\t", " \t "]
 HEADERS = ["source\ttarget", "Source\tTarget\tCount", " source \t TARGET ", "source\ttarget\tcount"]
 
@@ -245,7 +274,7 @@ def edge_list_lines(draw):
     kinds = ["data"] * 12 + ["comment", "comment", "blank", "blank", "header", "header", "columns"]
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=14)):
         if kind == "data":
-            fields = [draw(st.sampled_from(LABELS)), draw(st.sampled_from(LABELS))]
+            fields = [draw(st.sampled_from(LABELS)), draw(st.sampled_from(TARGETS))]
             if draw(st.booleans()):
                 fields.append(draw(st.sampled_from(COUNTS)))
             lines.append("\t".join(fields))
@@ -278,7 +307,7 @@ def _as_input(lines, form, newline):
 @given(
     lines=edge_list_lines(),
     form=st.sampled_from(["str", "bytes", "text file", "bytes file", "iterable"]),
-    newline=st.sampled_from(["\n", "\r\n"]),
+    newline=st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]),
     unify=st.booleans(),
     undirected=st.booleans(),
     vocabulary=st.none() | st.lists(st.sampled_from(LABELS + ["z", "w"]), max_size=5),
@@ -286,16 +315,20 @@ def _as_input(lines, form, newline):
 )
 def test_parser_matches_dict_oracle(lines, form, newline, unify, undirected, vocabulary,
                                     target_vocabulary):
-    options = dict(unify=unify, undirected=undirected, vocabulary=vocabulary,
-                   target_vocabulary=target_vocabulary)
+    assert_matches_oracle(lambda: _as_input(lines, form, newline), unify=unify, undirected=undirected,
+                          vocabulary=vocabulary, target_vocabulary=target_vocabulary)
+
+
+def assert_matches_oracle(make_input, **options):
+    """`parse_edge_list` and the dict oracle give the same sample, or the same error message."""
     try:
-        expect = dict_parse_edge_list(_as_input(lines, form, newline), **options)
+        expect = dict_parse_edge_list(make_input(), **options)
     except DictEdgeListError as exc:
         with pytest.raises(EdgeListError) as got:
-            parse_edge_list(_as_input(lines, form, newline), **options)
+            parse_edge_list(make_input(), **options)
         assert str(got.value) == str(exc)
         return
-    sample = parse_edge_list(_as_input(lines, form, newline), **options)
+    sample = parse_edge_list(make_input(), **options)
     assert sample.source_labels == expect.source_labels
     assert sample.target_labels == expect.target_labels
     assert sample.unified == expect.unified
@@ -304,3 +337,45 @@ def test_parser_matches_dict_oracle(lines, form, newline, unify, undirected, voc
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert sample.m == expect.m
     assert sample.edges == expect.edges and list(sample.edges) == list(expect.edges)
+
+
+# lines that Python settles, each after a data line: blank or comment once
+# stripped, or data that starts with whitespace, a control or non-ASCII byte
+@pytest.mark.parametrize("line", [" \t ", "\t", "  #a\tb", "\t#a", "\xa0#a\tb\t1", "\x1f\t", "\x00\tb",
+                                  " a\tb", "\ta", "\u00e9\tb\t2", "\ta\tb"])
+@pytest.mark.parametrize("form", ["str", "iterable"])
+def test_open_lines_after_a_data_line_match_the_oracle(line, form):
+    assert_matches_oracle(lambda: _as_input(["a\tb", line, "c\td"], form, "\n"))
+
+
+def test_iterable_items_are_lines_as_given():
+    # separators inside an item are label bytes; only trailing newlines go
+    items = ["a\tb\rc\n\n", "d\ne\tf\u2028\n", "\x85\tg"]
+    sample = parse_edge_list(iter(items))
+    assert sample.source_labels == ["a", "d\ne", "\x85"]
+    assert sample.target_labels == ["b\rc", "f\u2028", "g"]
+    assert_matches_oracle(lambda: iter(items))
+
+
+def test_every_leading_header_row_skipped():
+    sample = parse_edge_list("source\ttarget\nSOURCE\tTarget\tcount\na\tb\n")
+    assert sample.source_labels == ["a"] and sample.target_labels == ["b"]
+    # after the first data line a header row is data
+    assert parse_edge_list("a\tb\nsource\ttarget\n").source_labels == ["a", "source"]
+
+
+# first rows that start as a header does, so Python settles each of them
+@pytest.mark.parametrize("first", ["sourced\ttarget", "Source\ttargets", "source \tTARGET", "SOURCE\tTarget\t3",
+                                   "source \t target \tcount ", "sourcE\ttarget\tcount\t"])
+def test_leading_rows_like_a_header_match_the_oracle(first):
+    assert_matches_oracle(lambda: _as_input([first, "a\tb"], "str", "\n"))
+
+
+def test_first_malformed_line_wins():
+    bad_count, four_columns = "a\tb\tx", "a\tb\tc\td"
+    for third, fifth, message in ((bad_count, four_columns, "count 'x' is not an integer"),
+                                  (four_columns, bad_count, "expected 2 or 3 tab-separated columns, got 4")):
+        text = "\n".join(["a\tb", "# c", third, "c\td\t2", fifth, "e\tf"]) + "\n"
+        with pytest.raises(EdgeListError) as got:
+            parse_edge_list(text)
+        assert str(got.value) == f"line 3: {message}"

@@ -6,11 +6,16 @@ Run it on two checkouts and compare the printed lines: a change that keeps
 the search and the merge path unchanged prints the same digests.  The
 outputs are
 
-- the ingested sample (its cell arrays, degrees and m) of the fit-large
-  and explore edge files, seeds 1-3, parsed as `fit --unify-vertices` and
-  `coarsen` parse them, and of the generator samples they are written
-  from, so that a change to how cells are summed and ordered shows here
-  before it shows in any model;
+- the ingested sample (its labels, cell arrays, degrees and m) of the
+  fit-large and explore edge files, seeds 1-3, parsed as `fit
+  --unify-vertices` and `coarsen` parse them, and of the generator samples
+  they are written from, so that a change to how labels are numbered or
+  cells summed and ordered shows here before it shows in any model;
+- the same for the 800 fit-batch texts of seeds 1-2, one digest per seed
+  over all samples in order, which run the parser on small inputs;
+- the same for `HARD_GRAMMAR`, a built-in text with every kind of line the
+  grammar allows, parsed with each combination of `unify` and
+  `undirected`, with and without a vocabulary;
 - the model file of `modlcc fit` on the fit-large input, seeds 1-3;
 - `vns_fit(rounds=3).to_dict()` on the 800 fit-batch graphs of seeds 1-2,
   one digest per seed over all graphs in order;
@@ -60,6 +65,31 @@ BATCH_GRAPHS = 800
 GOLDEN_M = (20_000, 40_000)
 INT64_MAX = 2**63 - 1
 
+# Every kind of line the edge-list grammar allows: comments, blank and
+# whitespace-only lines, repeated header rows (data once a data line was
+# read), CRLF and U+0085 line ends, 3-column counts that are not plain
+# digits, unstripped fields, and labels that are long, non-ASCII, NUL-holding
+# or start with "#" in the target column.
+HARD_GRAMMAR = (
+    "# a comment\tof\tfour\r\n"
+    "\r\n"
+    "source\ttarget\r\n"
+    "  Source \t TARGET \t Count\r\n"
+    "   \t \r\n"
+    "a\tb\r\n"
+    "a\tb\t3\x85"
+    "  # an indented comment\n"
+    "source\ttarget\n"
+    "\u00fcn\u00efcode\tb\t007\n"
+    "a label longer than eight bytes\t#not-a-comment\t12\n"
+    " padded \tb\t+2\n"
+    "\xa0nbsp\ta\x00\t1_0\n"
+    "b\ta label longer than eight bytes\t \u0663 \n"
+    "a\tb\n"
+)
+HARD_VOCABULARY = ["zeta", "b", "a label longer than eight bytes", "b"]
+HARD_TARGET_VOCABULARY = ["omega", "#not-a-comment"]
+
 # (name, argv) of failing invocations.  bd.tsv is a small generated sample;
 # model.json and directed.json are its unified and directed fits; model
 # files named after a field hold model.json with that field broken.
@@ -97,6 +127,8 @@ FAILURES = [
     ("cocluster_counts 0", ["coarsen", "zero_counts.json", "bd.tsv", "--clusters", "1,1"]),
     ("cocluster_counts false", ["evaluate", "false_counts.json", "bd.tsv"]),
     ("cocluster_counts empty string", ["coarsen", "blank_counts.json", "bd.tsv", "--clusters", "1,1"]),
+    # the explore edge file with line 249999 of 300000 cut to 4 columns
+    ("4 columns deep in a large file", ["coarsen", "planted.json", "four_columns.tsv", "--clusters", "8,8"]),
     ("circular --blocks --noise", ["generate", "circular", "--blocks", "7", "--noise", "0.9", "-o", "g"]),
     ("blockmodel --n", ["generate", "blockmodel", "--n", "50", "-o", "g"]),
     ("undirected-pattern --m --n", ["generate", "undirected-pattern", "--m", "5", "--n", "3", "-o", "g"]),
@@ -162,7 +194,12 @@ def error_paths():
                     raise SystemExit(f"modlcc {' '.join(argv)} exited {code}: {err}")
             with open("bd.tsv") as fh:
                 lines = fh.readlines()
+            (explore, _), _ = inputs.explore_input(1, ".")
+            with open(explore) as fh:
+                explore_lines = fh.readlines()
+            explore_lines[249_998] = "a\tb\tc\td\n"
             files = {
+                "four_columns.tsv": "".join(explore_lines),
                 "short.tsv": "".join(lines[:-10]),
                 "bad.tsv": "a\tb\tx\n",
                 "bad.json": "{",
@@ -202,8 +239,9 @@ def cli_file(argv: list[str], out_path: str) -> bytes:
 
 
 def sample_digest(sample) -> str:
-    """Digest of a sample's cell arrays, degrees and m, each array with its dtype and shape."""
+    """Digest of a sample's labels, cell arrays, degrees and m, each array with its dtype and shape."""
     h = hashlib.sha256()
+    h.update(json.dumps([sample.source_labels, sample.target_labels, sample.unified]).encode())
     for a in (sample.src_idx, sample.tgt_idx, sample.counts, sample.out_degrees, sample.in_degrees):
         h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
     h.update(str(sample.m).encode())
@@ -227,6 +265,19 @@ def ingest_digests(work: str):
                 parsed = parse_edge_list(text, unify=header[2], vocabulary=header[0],
                                          target_vocabulary=header[1])
             print(f"ingest {name} seed {seed} tsv: {sample_digest(parsed)}", flush=True)
+    for seed in (1, 2):
+        graphs, _ = inputs.batch_graphs(seed, BATCH_GRAPHS)
+        h = hashlib.sha256()
+        for g in graphs:
+            h.update(sample_digest(parse_edge_list(g.text, unify=g.unify)).encode())
+        print(f"ingest fit-batch seed {seed}: {h.hexdigest()}", flush=True)
+    for unify in (False, True):
+        for undirected in (False, True):
+            for vocabulary, target_vocabulary in ((None, None), (HARD_VOCABULARY, HARD_TARGET_VOCABULARY)):
+                parsed = parse_edge_list(HARD_GRAMMAR, unify=unify, undirected=undirected, vocabulary=vocabulary,
+                                         target_vocabulary=target_vocabulary)
+                print(f"ingest hard grammar unify={unify} undirected={undirected} "
+                      f"vocabulary={vocabulary is not None}: {sample_digest(parsed)}", flush=True)
 
 
 def without_deltas(cut_file: bytes) -> bytes:
