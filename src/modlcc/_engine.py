@@ -62,6 +62,19 @@ class DestTerms:
     lf_mc: np.ndarray  # lf[mc]
     lf_nc: np.ndarray  # lf[nc]
     prior: np.ndarray  # lnC(mc + nc - 1, nc - 1)
+    # `Engine._count_change`: the k-dependent terms when a singleton's move deletes its cluster
+    count_change: tuple[float, float]
+
+
+def warm_tables(sample, k_source, k_target):
+    """Size the shared factorial table for an engine on `sample` at these
+    cluster counts, and warm the partition-count rows up to them; returns
+    the table."""
+    kE = k_source * k_target
+    lf = shared_cache.factorial_table(sample.m + max(kE, sample.n_source, sample.n_target) + 2)
+    shared_cache.log_partition_count(sample.n_source, k_source)
+    shared_cache.log_partition_count(sample.n_target, k_target)
+    return lf
 
 
 class Engine:
@@ -83,11 +96,7 @@ class Engine:
             ),
         }
         # cluster counts never grow while the engine lives, so the table is read once
-        kE = model.k_source * model.k_target
-        self.lf = self.cache.factorial_table(self.m + max(kE, sample.n_source, sample.n_target) + 2)
-        # warm the partition-count rows up to the initial cluster counts
-        for s in self.sides.values():
-            self.cache.log_partition_count(s.n, s.k)
+        self.lf = warm_tables(sample, model.k_source, model.k_target)
 
     # -- shared tables ------------------------------------------------------
 
@@ -232,7 +241,7 @@ class Engine:
         table = self.lf[:width] - self.lf.take(x + np.arange(1, rows + 1)[:, None], mode="clip")
         return table.ravel(), (cnts - 1) * width
 
-    def _removal_base(self, side, v, cols, cnts):
+    def _removal_base(self, side, v, dests, cols, cnts):
         """Delta of taking vertex v out of its current cluster (dest-independent).
 
         The scalar terms are Python floats: the same IEEE operations as on
@@ -253,7 +262,7 @@ class Engine:
             base += at(ma - dv + na - 2) - at(na - 2) - lf_rest
         else:
             # cluster a disappears: the cluster-count terms change
-            dB, dC = self._count_change(side)
+            dB, dC = dests.count_change
             base += dB
             base += dC
         return dv, base
@@ -268,13 +277,13 @@ class Engine:
         return dB, float(dC)
 
     def dest_terms(self, side):
-        """The terms of a move delta that depend on the destination only."""
+        """The terms of a move delta that depend on the destination or on k only; needs k >= 2."""
         s = self.sides[side]
         lf = self.lf
         mc, nc = s.margin.copy(), s.sizes.copy()
         lf_mc = lf[mc]
         nc1 = nc - 1
-        return DestTerms(mc, nc, lf_mc, lf[nc], lf[mc + nc1] - lf[nc1] - lf_mc)
+        return DestTerms(mc, nc, lf_mc, lf[nc], lf[mc + nc1] - lf[nc1] - lf_mc, self._count_change(side))
 
     def _move_deltas(self, side, v, dests, profile):
         """Deltas of moving vertex v into each cluster of `side`, by cluster id.
@@ -288,7 +297,7 @@ class Engine:
         table, hence the clipped reads; its entry is masked.
         """
         cols, cnts, gain = profile
-        dv, base = self._removal_base(side, v, cols, cnts)
+        dv, base = self._removal_base(side, v, dests, cols, cnts)
         lf = self.lf
         sub = np.ascontiguousarray(self.rows(side)[:, cols])
         if gain is None:

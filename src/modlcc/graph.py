@@ -113,7 +113,12 @@ class MultigraphSample:
 
     @functools.cached_property
     def edges(self) -> dict[tuple[int, int], int]:
-        """``{(i, j): count}`` over the nonzero cells, in cell order; built on first read."""
+        """``{(i, j): count}`` over the nonzero cells, in cell order; built on first read.
+
+        This is a Python dict of every cell, kept for the sample's lifetime:
+        about 15 MB on 90,795 cells.  Library code that needs the number of
+        cells reads ``len(sample.counts)``.
+        """
         cells = zip(self.src_idx.tolist(), self.tgt_idx.tolist(), self.counts.tolist())
         return {(i, j): c for i, j, c in cells}
 

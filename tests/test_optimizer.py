@@ -1,5 +1,8 @@
 import hashlib
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 from unittest import mock
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlcc import _engine
+from modlcc import _engine, cli, optimizer
 from modlcc._engine import OTHER_SIDE, Engine
 from modlcc.combinatorics import CombinatoricsCache
 from modlcc.graph import MultigraphSample
@@ -368,3 +371,93 @@ def test_vns_fit_golden_model(m):
     doc.pop("tool_version")
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_FITS[m], doc["fit_log"]
+
+
+# -- rounds on worker processes ---------------------------------------------------
+
+
+@pytest.fixture
+def pool_count(monkeypatch):
+    """Count the worker pools that `vns_fit` starts."""
+    pools = []
+
+    class CountedPool(optimizer.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "ProcessPoolExecutor", CountedPool)
+    return pools
+
+
+def force_pool(monkeypatch, pool):
+    """Force `vns_fit`'s rounds on two workers, or in process, whatever the sample and host."""
+    monkeypatch.setattr(optimizer, "POOL_MIN_CELLS", 0 if pool else 2**63)
+    monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def fit_with_pool(monkeypatch, sample, config, pool):
+    force_pool(monkeypatch, pool)
+    return vns_fit(sample, config)
+
+
+def test_pool_gate_counts_distinct_cells():
+    small, _ = gen_block_diagonal(100, 10, 0.1, m=1500, seed=0)
+    large, _ = gen_block_diagonal(100, 10, 0.1, m=3000, seed=0)
+    assert len(small.counts) < optimizer.POOL_MIN_CELLS <= len(large.counts)
+    assert optimizer._pool_workers(small, 4) == 0
+    assert optimizer._pool_workers(large, 1) == 0
+    assert "edges" not in vars(large)  # the gate builds no dict of the cells
+
+
+@pytest.mark.parametrize("family, m", [("golden", m) for m in sorted(GOLDEN_FITS)] + [("block", 3000)])
+def test_pool_and_in_process_rounds_give_the_same_fit(monkeypatch, pool_count, family, m):
+    if family == "golden":
+        sample, _ = gen_block_diagonal(300, 4, 0.5, m=m, seed=3)
+        config = FitConfig(rounds=2, seed=1)
+    else:
+        sample, _ = gen_block_diagonal(100, 10, 0.1, m=m, seed=0)
+        config = FitConfig(rounds=4, seed=0)
+        assert len(sample.counts) >= 1000
+    pooled = fit_with_pool(monkeypatch, sample, config, pool=True)
+    assert len(pool_count) == 1
+    alone = fit_with_pool(monkeypatch, sample, config, pool=False)
+    assert len(pool_count) == 1
+    assert pooled.to_dict() == alone.to_dict()
+    assert [r.criterion for r in pooled.rounds] == [r.criterion for r in alone.rounds]
+    assert multiprocessing.active_children() == []
+
+
+def round_failing_in_worker(sample, max_init, child):
+    raise ValueError(f"round failed in process {os.getpid()}")
+
+
+def test_worker_value_error_reaches_the_caller(monkeypatch, pool_count):
+    sample, _ = gen_block_diagonal(100, 10, 0.1, m=3000, seed=0)
+    monkeypatch.setattr(optimizer, "_round", round_failing_in_worker)  # before the fork
+    with pytest.raises(ValueError, match="round failed in process") as err:
+        fit_with_pool(monkeypatch, sample, FitConfig(rounds=2), pool=True)
+    assert len(pool_count) == 1
+    assert str(err.value) != f"round failed in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_value_error_exits_2(monkeypatch, pool_count, tmp_path, capsys):
+    sample, _ = gen_block_diagonal(100, 10, 0.1, m=3000, seed=0)
+    edges = tmp_path / "e.tsv"
+    edges.write_text(sample.serialize())
+    monkeypatch.setattr(optimizer, "_round", round_failing_in_worker)
+    force_pool(monkeypatch, True)
+    code = cli.main(["fit", str(edges), "-o", str(tmp_path / "m.json"), "--rounds", "2"])
+    assert code == 2
+    assert "round failed in process" in capsys.readouterr().err
+    assert len(pool_count) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_breaks_the_pool(monkeypatch):
+    sample, _ = gen_block_diagonal(100, 10, 0.1, m=3000, seed=0)
+    monkeypatch.setattr(optimizer, "_round", lambda *args: os._exit(1))
+    with pytest.raises(BrokenProcessPool):
+        fit_with_pool(monkeypatch, sample, FitConfig(rounds=2), pool=True)
+    assert multiprocessing.active_children() == []

@@ -16,7 +16,10 @@ outputs are
 - the same for `HARD_GRAMMAR`, a built-in text with every kind of line the
   grammar allows, parsed with each combination of `unify` and
   `undirected`, with and without a vocabulary;
-- the model file of `modlcc fit` on the fit-large input, seeds 1-3;
+- the model file of `modlcc fit` on the fit-large input, seeds 1-3, whose
+  rounds run on worker processes, and one digest over the same three files
+  from `vns_fit` with its rounds forced in process, with whether the two
+  paths wrote the same bytes;
 - `vns_fit(rounds=3).to_dict()` on the 800 fit-batch graphs of seeds 1-2,
   one digest per seed over all graphs in order;
 - the cut file of `modlcc coarsen` on the explore input, seeds 1-3, and
@@ -49,6 +52,7 @@ import os
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 
@@ -56,7 +60,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import inputs  # noqa: E402
-from modlcc import Coclustering, FitConfig, build_dendrogram, parse_edge_list, vns_fit  # noqa: E402
+from modlcc import Coclustering, FitConfig, build_dendrogram, optimizer, parse_edge_list, vns_fit  # noqa: E402
 from modlcc.cli import main as cli_main  # noqa: E402
 from modlcc.model import model_header  # noqa: E402
 from modlcc.synthgen import gen_block_diagonal, gen_blockmodel  # noqa: E402
@@ -291,12 +295,21 @@ def main():
     error_paths()
     with tempfile.TemporaryDirectory() as work:
         ingest_digests(work)
+        pooled, alone = [], []
         for seed in (1, 2, 3):
             (edges, _), _ = inputs.fit_large_input(seed, work)
             out = os.path.join(work, "large.json")
             argv = ["fit", edges, "-o", out, "--unify-vertices",
                     "--rounds", str(inputs.FIT_LARGE_ROUNDS), "--seed", "0"]
-            print(f"fit-large seed {seed}: {sha256(cli_file(argv, out))}", flush=True)
+            pooled.append(cli_file(argv, out))
+            print(f"fit-large seed {seed}: {sha256(pooled[-1])}", flush=True)
+            with open(edges, "rb") as fh:
+                sample = parse_edge_list(fh.read(), unify=True)
+            with mock.patch.object(optimizer, "POOL_MIN_CELLS", INT64_MAX):
+                fit = vns_fit(sample, FitConfig(rounds=inputs.FIT_LARGE_ROUNDS, seed=0))
+            alone.append((json.dumps(fit.to_dict(seed=0), indent=2) + "\n").encode())
+        print(f"fit-large seeds 1-3 in process: {sha256(b''.join(alone))}, "
+              f"same as modlcc fit: {alone == pooled}", flush=True)
         for seed in (1, 2):
             graphs, _ = inputs.batch_graphs(seed, BATCH_GRAPHS)
             h = hashlib.sha256()
