@@ -62,8 +62,6 @@ class DestTerms:
     lf_mc: np.ndarray  # lf[mc]
     lf_nc: np.ndarray  # lf[nc]
     prior: np.ndarray  # lnC(mc + nc - 1, nc - 1)
-    # `Engine._count_change`: the k-dependent terms when a singleton's move deletes its cluster
-    count_change: tuple[float, float]
 
 
 def warm_tables(sample, k_source, k_target):
@@ -97,6 +95,8 @@ class Engine:
         }
         # cluster counts never grow while the engine lives, so the table is read once
         self.lf = warm_tables(sample, model.k_source, model.k_target)
+        # `_count_change` by (side, k, k_other): n and m never change
+        self._count_changes = {}
 
     # -- shared tables ------------------------------------------------------
 
@@ -241,20 +241,17 @@ class Engine:
         table = self.lf[:width] - self.lf.take(x + np.arange(1, rows + 1)[:, None], mode="clip")
         return table.ravel(), (cnts - 1) * width
 
-    def _removal_base(self, side, v, dests, cols, cnts):
-        """Delta of taking vertex v out of its current cluster (dest-independent).
+    def _removal_base(self, side, v, a, base):
+        """Delta of taking vertex v out of its cluster a (dest-independent),
+        from `base`, the likelihood term of a's cells.
 
         The scalar terms are Python floats: the same IEEE operations as on
         NumPy scalars, at a fraction of the call overhead.
         """
         s = self.sides[side]
-        lf = self.lf
-        at = lf.item
-        a = int(s.assign[v])
+        at = self.lf.item
         dv = int(s.degrees[v])
         na, ma = int(s.sizes[a]), int(s.margin[a])
-        rowa = self.rows(side)[a][cols]
-        base = float(np.add.reduce(lf[rowa] - lf[rowa - cnts]))
         lf_ma, lf_rest = at(ma), at(ma - dv)
         base += lf_rest - lf_ma
         base -= at(ma + na - 1) - at(na - 1) - lf_ma
@@ -262,7 +259,7 @@ class Engine:
             base += at(ma - dv + na - 2) - at(na - 2) - lf_rest
         else:
             # cluster a disappears: the cluster-count terms change
-            dB, dC = dests.count_change
+            dB, dC = self._count_change(side)
             base += dB
             base += dC
         return dv, base
@@ -271,42 +268,64 @@ class Engine:
         """Deltas (partition prior, cocluster prior) of `side` losing one cluster."""
         s = self.sides[side]
         k, k_other = s.k, self.sides[OTHER_SIDE[side]].k
-        kE_old, kE_new = k * k_other, (k - 1) * k_other
-        dB = self._logB(s.n, k - 1) - self._logB(s.n, k)
-        dC = self._lnC(self.m + kE_new - 1, kE_new - 1) - self._lnC(self.m + kE_old - 1, kE_old - 1)
-        return dB, float(dC)
+        change = self._count_changes.get((side, k, k_other))
+        if change is None:
+            kE_old, kE_new = k * k_other, (k - 1) * k_other
+            dB = self._logB(s.n, k - 1) - self._logB(s.n, k)
+            dC = self._lnC(self.m + kE_new - 1, kE_new - 1) - self._lnC(self.m + kE_old - 1, kE_old - 1)
+            change = self._count_changes[side, k, k_other] = (dB, float(dC))
+        return change
 
     def dest_terms(self, side):
-        """The terms of a move delta that depend on the destination or on k only; needs k >= 2."""
+        """The terms of a move delta that depend on the destination only; needs k >= 2."""
         s = self.sides[side]
         lf = self.lf
         mc, nc = s.margin.copy(), s.sizes.copy()
         lf_mc = lf[mc]
         nc1 = nc - 1
-        return DestTerms(mc, nc, lf_mc, lf[nc], lf[mc + nc1] - lf[nc1] - lf_mc, self._count_change(side))
+        return DestTerms(mc, nc, lf_mc, lf[nc], lf[mc + nc1] - lf[nc1] - lf_mc)
+
+    def refresh_dest_terms(self, side, dests, clusters):
+        """Bring the `dests` entries of `clusters` up to the current counts,
+        after a move between them that emptied no cluster; each entry gets
+        the IEEE operations of `dest_terms`, on Python floats."""
+        s = self.sides[side]
+        at = self.lf.item
+        for c in clusters:
+            mc, nc = int(s.margin[c]), int(s.sizes[c])
+            lf_mc = at(mc)
+            dests.mc[c], dests.nc[c], dests.lf_mc[c], dests.lf_nc[c] = mc, nc, lf_mc, at(nc)
+            dests.prior[c] = at(mc + nc - 1) - at(nc - 1) - lf_mc
 
     def _move_deltas(self, side, v, dests, profile):
         """Deltas of moving vertex v into each cluster of `side`, by cluster id.
 
         `dests` is a `dest_terms` record, and `profile` is v's (cols, cnts,
-        gain) entry of `vertex_profiles`.  v's own cluster gets +inf.  The
+        gain) entry of `vertex_profiles`.  v's own cluster a gets +inf.  The
         destination block M[:, cols] is copied into C order, the layout of an
         np.ix_ gather, on both sides, so each row sums in the same order, at a
         fraction of the cost.  With a gain table, each cell's likelihood term
-        is one lookup.  The own cluster's lookups can run past the factorial
-        table, hence the clipped reads; its entry is masked.
+        is one lookup, and so is each term of taking v out of a: row a of the
+        block less v's cells reads table[offsets + x] = lf[x] - lf[x + cnts],
+        the negated terms lf[row_a] - lf[row_a - cnts], whose sum negates bit
+        for bit.  The own cluster's lookups can run past the factorial table,
+        hence the clipped reads; its entry is masked.
         """
         cols, cnts, gain = profile
-        dv, base = self._removal_base(side, v, dests, cols, cnts)
+        a = int(self.sides[side].assign[v])
         lf = self.lf
         sub = np.ascontiguousarray(self.rows(side)[:, cols])
         if gain is None:
+            rowa = sub[a]
+            base = float(np.add.reduce(lf[rowa] - lf[rowa - cnts]))
             d6 = lf.take(sub)
             np.subtract(d6, lf.take(sub + cnts, mode="clip"), out=d6)
         else:
             table, offsets = gain
             sub += offsets
+            base = -float(np.add.reduce(table.take(sub[a] - cnts)))
             d6 = table.take(sub)
+        dv, base = self._removal_base(side, v, a, base)
         d6 = np.add.reduce(d6, axis=1)
         mc = dests.mc + dv
         lf_mv = lf.take(mc, mode="clip")
@@ -314,7 +333,7 @@ class Engine:
         mc += dests.nc
         d4 = lf.take(mc, mode="clip") - dests.lf_nc - lf_mv - dests.prior
         deltas = base + d6 + d7 + d4
-        deltas[self.sides[side].assign[v]] = np.inf
+        deltas[a] = np.inf
         return deltas
 
     def move_options(self, side, v, profile):

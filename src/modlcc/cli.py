@@ -40,9 +40,10 @@ EXIT_INTERNAL = 5
 EXIT_CODES = ((AuditError, EXIT_AUDIT), (ValueError, EXIT_INPUT), (OSError, EXIT_IO))
 
 
-def _read_text(path: str) -> str:
+def _read_file(path: str, binary: bool = False) -> str | bytes:
+    """The file's text, decoded as UTF-8; its bytes if `binary`."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") if binary else open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
@@ -60,7 +61,7 @@ def _read_vocabulary(path: str | None):
     if path is None:
         return None
     labels = []
-    for line in _read_text(path).splitlines():
+    for line in _read_file(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             labels.append(line.split("\t")[0])
@@ -68,8 +69,9 @@ def _read_vocabulary(path: str | None):
 
 
 def _load_sample(args, vocabulary=None, target_vocabulary=None, unify=None):
+    # the parser reads UTF-8 bytes, and decodes them only to check them
     return parse_edge_list(
-        _read_text(args.edges),
+        _read_file(args.edges, binary=True),
         unify=unify if unify is not None else getattr(args, "unify_vertices", False),
         undirected=getattr(args, "undirected", False),
         vocabulary=vocabulary if vocabulary is not None else _read_vocabulary(getattr(args, "vocabulary", None)),
@@ -80,7 +82,7 @@ def _load_sample(args, vocabulary=None, target_vocabulary=None, unify=None):
 def _load_model(args):
     """Read a model JSON and the edge file it was fitted on; audit counts."""
     try:
-        data = json.loads(_read_text(args.model))
+        data = json.loads(_read_file(args.model))
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid model JSON: {exc}") from exc
     source_labels, target_labels, unified = model_header(data)

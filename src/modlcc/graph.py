@@ -194,7 +194,10 @@ def _text_bytes(data) -> tuple[bytes, int]:
     if hasattr(data, "read"):
         data = data.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        text = data.decode("utf-8")  # a UnicodeDecodeError, a ValueError, on invalid UTF-8
+        if not any(sep in text for sep in _OTHER_SEPARATORS):
+            return data, _NEWLINE
+        data = text
     if isinstance(data, str):
         if any(sep in data for sep in _OTHER_SEPARATORS):
             data = "\n".join(data.splitlines())

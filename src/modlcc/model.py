@@ -308,7 +308,8 @@ def _int_array(data: dict, name: str, ndim: int, what: str) -> np.ndarray:
 
 
 def _stored_grid(stored: np.ndarray, shape) -> np.ndarray | None:
-    """The grid of stored [i, j, count] cells, or None if no grid of `shape` holds them."""
+    """The grid of stored [i, j, count] cells, or None if no grid of `shape`
+    holds them, each cell once."""
     if stored.shape[1] != 3:
         raise ModelError("cocluster_counts must list [i, j, count] cells")
     i, j, c = stored.T
@@ -316,6 +317,9 @@ def _stored_grid(stored: np.ndarray, shape) -> np.ndarray | None:
         return None
     grid = np.zeros(shape, dtype=np.int64)
     grid[i, j] = c
+    # a repeated cell would keep only its last count
+    if np.count_nonzero(grid) != len(stored):
+        return None
     return grid
 
 

@@ -132,29 +132,41 @@ def _cross_side_correction(eng: Engine, D_full: np.ndarray, old_a, old_b):
 
     Only pairs of clusters that share nonzero cells with the merged rows
     are impacted; everything else keeps its delta.  With x, y the merged
-    rows' cells and s = x + y on that support, the correction of pair (i, j)
-    is u_i + u_j + lf[x_i + x_j] + lf[y_i + y_j] - lf[s_i + s_j], where
-    u = lf[s] - lf[x] - lf[y]: three pairwise table gathers over the
-    support, O(|support|^2), added to D through flat indices.  The result
+    rows' cells and s = x + y, the correction of pair (i, j) is
+    u_i + u_j + lf[x_i + x_j] + lf[y_i + y_j] - lf[s_i + s_j], where
+    u = lf[s] - lf[x] - lf[y].  It depends on the clusters' (x, y) values
+    only, and these fall into few classes, so it is computed once per pair
+    of classes, O(C^2) for C classes, and added to D by the rows of the
+    support, O(s * k) for s <= k clusters in the support: the same IEEE
+    operations on the same operands as per pair.  The class of clusters
+    outside the support, (0, 0), corrects by exactly 0.0.  The result
     differs from a fresh `merge_struct` by rounding only, which
     `_best_merge` absorbs by scoring near-ties again.
     """
-    lf = eng.lf
     support = np.flatnonzero((old_a != 0) | (old_b != 0))
     if len(support) < 2:
         return
-    x, y = old_a[support], old_b[support]
+    # the classes of distinct (x, y), in ascending order, and each cluster's class
+    order = np.lexsort((old_b, old_a))
+    x, y = old_a[order], old_b[order]
+    first = np.empty(len(order), dtype=bool)
+    first[0] = True
+    first[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    cls = np.empty_like(order)
+    cls[order] = first.cumsum() - 1
+    x, y = x[first], y[first]
+    lf = eng.lf
     s = x + y
     u = lf[s] - lf[x] - lf[y]
     corr = u[:, None] + u
-    # 2*r on the diagonal can run past the table; D's diagonal is never
-    # read, so clipped lookups there are harmless
+    # 2*r for one cluster with itself can run past the table; D's diagonal
+    # is never read, so clipped lookups there are harmless
     corr += lf.take(x[:, None] + x, mode="clip")
     corr += lf.take(y[:, None] + y, mode="clip")
     corr -= lf.take(s[:, None] + s, mode="clip")
-    flat = (support[:, None] * D_full.shape[1] + support).ravel()
-    D_flat = D_full.reshape(-1)
-    D_flat[flat] += corr.ravel()
+    if s[0] == 0:
+        corr[0] = corr[:, 0] = 0.0
+    D_full[support, : len(cls)] += corr.take(cls[support], axis=0).take(cls, axis=1)
 
 
 def _best_merge(eng: Engine, D: dict) -> tuple:
@@ -192,10 +204,11 @@ def _merges(eng: Engine):
     incrementally, and the merged-away cluster's row and column of D are
     deleted as the engine deletes the cluster.  The start
     costs O(k^2 * k_other) per side.  Each merge then costs O(k * k_other)
-    to score the surviving cluster's pairs afresh, O(s^2) to correct the
-    other side's pairs, where s <= k_other is the number of other-side
-    clusters with cells in the merged rows (`_cross_side_correction`), and
-    one vectorized O(k^2) scan per side for the best pair.
+    to score the surviving cluster's pairs afresh, O(C^2 + s * k_other) to
+    correct the other side's pairs (`_cross_side_correction`), where
+    s <= k_other other-side clusters have cells in the merged rows and C
+    is the number of distinct (x, y) cell pairs among them, and one
+    vectorized O(k^2) scan per side for the best pair.
     """
     D, cost = {}, {}
     for side in ("source", "target"):
@@ -248,8 +261,10 @@ def _sweep(eng: Engine, side: str) -> bool:
 
     Each vertex's cluster profile is built once per sweep, in one pass over
     the side's edges (`Engine.vertex_profiles`), and serves both its move
-    deltas and its move.  The destination terms are kept from vertex to
-    vertex until a move changes them.
+    deltas and its move.  The destination terms of all k clusters are
+    built once, and a move refreshes only the two entries it changed, O(1)
+    in place of O(k); a move that empties its cluster renumbers the
+    clusters, so the terms are built again.
     """
     # the other side's partition is frozen, so every profile holds all sweep
     moved = False
@@ -263,8 +278,12 @@ def _sweep(eng: Engine, side: str) -> bool:
         deltas = eng._move_deltas(side, v, dests, profile)
         best = int(deltas.argmin())
         if deltas[best] < 0.0:
+            a, k = int(s.assign[v]), s.k
             eng.apply_move(side, v, best, profile)
-            dests = None
+            if s.k < k:
+                dests = None
+            else:
+                eng.refresh_dest_terms(side, dests, (a, best))
             moved = True
     return moved
 
@@ -304,6 +323,16 @@ def _round(sample, max_init, child):
     return (model.k_source, model.k_target), eng.assignments(), total, time.perf_counter() - t0
 
 
+def _initial_clusters(sample) -> int:
+    """The cluster cap of each round's start: ceil(sqrt(m))."""
+    r = math.isqrt(sample.m)
+    max_init = r if r * r == sample.m else r + 1
+    if max_init < 2:
+        # tiny samples: start from the maximal model so merging can explore
+        max_init = max(sample.n_source, sample.n_target)
+    return max_init
+
+
 # a pool worker's (sample, max_init, round seeds), set by `_start_worker`
 _worker_job = None
 
@@ -340,11 +369,7 @@ def vns_fit(sample, config: FitConfig | None = None) -> FitResult:
     round's `RoundLog.seconds` is its time inside the process that ran it.
     """
     config = config or FitConfig()
-    r = math.isqrt(sample.m)
-    max_init = r if r * r == sample.m else r + 1  # ceil(sqrt(m))
-    if max_init < 2:
-        # tiny samples: start from the maximal model so merging can explore
-        max_init = max(sample.n_source, sample.n_target)
+    max_init = _initial_clusters(sample)
     children = np.random.SeedSequence(config.seed).spawn(config.rounds)
 
     workers = _pool_workers(sample, config.rounds)

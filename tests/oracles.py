@@ -284,6 +284,48 @@ def ix_post_optimize(model, passes=2):
     return eng.assignments()
 
 
+# -- the search's incremental caches, recomputed -------------------------------------
+
+
+def flat_cross_side_correction(eng, D_full, old_a, old_b):
+    """The other side's pair-delta correction after a merge, pair by pair.
+
+    For every pair (i, j) of other-side clusters with cells in the merged
+    rows x and y, s = x + y, adds u_i + u_j + lf[x_i + x_j] + lf[y_i + y_j]
+    - lf[s_i + s_j], u = lf[s] - lf[x] - lf[y], to D_full[i, j] through
+    flat indices: the arithmetic that `optimizer._cross_side_correction`
+    must reproduce bit for bit.
+    """
+    lf = eng.lf
+    support = np.flatnonzero((old_a != 0) | (old_b != 0))
+    if len(support) < 2:
+        return
+    x, y = old_a[support], old_b[support]
+    s = x + y
+    u = lf[s] - lf[x] - lf[y]
+    corr = u[:, None] + u
+    corr += lf.take(x[:, None] + x, mode="clip")
+    corr += lf.take(y[:, None] + y, mode="clip")
+    corr -= lf.take(s[:, None] + s, mode="clip")
+    flat = (support[:, None] * D_full.shape[1] + support).ravel()
+    D_full.reshape(-1)[flat] += corr.ravel()
+
+
+def count_change(eng, side):
+    """(partition prior, cocluster prior) deltas of `side` losing one
+    cluster, from the engine's current cluster counts."""
+    n, k = eng.sides[side].n, eng.sides[side].k
+    k_other = eng.sides["target" if side == "source" else "source"].k
+    lf = eng.lf
+
+    def lnC(n_, k_):
+        return lf[n_] - lf[k_] - lf[n_ - k_]
+
+    kE_old, kE_new = k * k_other, (k - 1) * k_other
+    dB = eng.cache.log_partition_count(n, k - 1) - eng.cache.log_partition_count(n, k)
+    return dB, float(lnC(eng.m + kE_new - 1, kE_new - 1) - lnC(eng.m + kE_old - 1, kE_old - 1))
+
+
 # -- dict-based edge-list parser ------------------------------------------------------
 
 

@@ -168,6 +168,36 @@ def test_fit_empty_input_exit_2(tmp_path, capsys):
     assert "no edges" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"a\tb\n\xff\tc\n", "byte 0xff in position 4: invalid start byte"),
+    (b"a\tb\r\nc\xc3\tc\n", "byte 0xc3 in position 6: invalid continuation byte"),
+    (b"a\tb\r\nc\td\xe2\x82", "bytes in position 8-9: unexpected end of data"),
+])
+def test_fit_invalid_utf8_exit_2(tmp_path, capsys, data, message):
+    # the edge file is read as bytes; the message is the one a text read gives
+    edges = tmp_path / "bad.tsv"
+    edges.write_bytes(data)
+    code, _, err = run(capsys, "fit", str(edges), "-o", str(tmp_path / "m.json"))
+    assert code == 2
+    assert err == f"error: 'utf-8' codec can't decode {message}\n"
+
+
+@pytest.mark.parametrize("data", [
+    "a\tb\nb\tc\t2\n\u00fcn\ta\n",
+    "\ufeffa\tb\r\nb\tc\t2\rc\ta\x85\u00fcn\ta\u2028d\tb\x0bb\ta",
+])
+def test_fit_reads_the_edge_bytes_as_their_text(tmp_path, capsys, data):
+    edges = tmp_path / "e.tsv"
+    edges.write_bytes(data.encode("utf-8"))
+    code, _, err = run(capsys, "fit", str(edges), "-o", str(tmp_path / "m.json"), "--rounds", "2")
+    assert code == 0, err
+    # the model's labels are those of the text, split as `str.splitlines` splits it
+    doc = json.load(open(tmp_path / "m.json"))
+    lines = [line.split("\t") for line in data.splitlines()]
+    assert doc["source_labels"] == list(dict.fromkeys(line[0] for line in lines))
+    assert doc["target_labels"] == list(dict.fromkeys(line[1] for line in lines))
+
+
 def test_fit_missing_file_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "fit", str(tmp_path / "nope.tsv"),
                        "-o", str(tmp_path / "m.json"))

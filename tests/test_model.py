@@ -238,6 +238,17 @@ def test_from_dict_audits_cells_off_the_grid(cell):
         Coclustering.from_dict(doc, model.sample)
 
 
+def test_from_dict_audits_repeated_cells():
+    # the last of repeated cells would match the grid; the file is still not the model's
+    model = clustered_example()
+    doc = model.to_dict()
+    (i, j, c), rest = doc["cocluster_counts"][0], doc["cocluster_counts"][1:]
+    for cells in ([[i, j, 99], [i, j, c]], [[i, j, c], [i, j, c]]):
+        doc["cocluster_counts"] = cells + rest
+        with pytest.raises(AuditError, match="stored cocluster counts differ"):
+            Coclustering.from_dict(doc, model.sample)
+
+
 def test_from_dict_audits_counts_whenever_the_key_is_present():
     model = clustered_example()
     doc = model.to_dict()

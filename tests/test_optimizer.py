@@ -2,6 +2,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+from collections import Counter
+from dataclasses import fields
 from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 from unittest import mock
@@ -11,14 +13,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modlcc import _engine, cli, optimizer
-from modlcc._engine import OTHER_SIDE, Engine
+from modlcc._engine import OTHER_SIDE, DestTerms, Engine
 from modlcc.combinatorics import CombinatoricsCache
 from modlcc.graph import MultigraphSample
 from modlcc.model import Coclustering, maximal_model, null_model
 from modlcc.optimizer import FitConfig, _merges, _post_opt, _sweep, gbum, initial_solution, post_optimize, vns_fit
 from modlcc.synthgen import gen_block_diagonal, gen_undirected_pattern
 
-from oracles import ix_move_options, ix_post_optimize, random_assignment, random_sample
+from oracles import (
+    count_change,
+    flat_cross_side_correction,
+    ix_move_options,
+    ix_post_optimize,
+    random_assignment,
+    random_sample,
+)
 from test_graph import multigraph_sample
 
 
@@ -297,6 +306,102 @@ def test_post_optimize_matches_oracle_sweeps_as_clusters_empty(monkeypatch, tabl
         emptied += min(k1) > 1 and k1 != k0
     assert (tables > 0) == table
     assert emptied >= 20
+
+
+# -- incremental caches against fresh computation ------------------------------------
+
+
+def test_sweep_dest_terms_equal_fresh_ones_after_every_move(block_sample, monkeypatch):
+    # a move that empties no cluster refreshes two entries in place; one that does rebuilds them all
+    moves, emptying, checks = [], [], []
+    move_deltas, apply_move = Engine._move_deltas, Engine.apply_move
+
+    def checked_move_deltas(eng, side, v, dests, profile):
+        fresh = eng.dest_terms(side)
+        for f in fields(DestTerms):
+            got, want = getattr(dests, f.name), getattr(fresh, f.name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+        checks.append(v)
+        return move_deltas(eng, side, v, dests, profile)
+
+    def counted_apply_move(eng, side, v, dest, profile):
+        k = eng.sides[side].k
+        apply_move(eng, side, v, dest, profile)
+        moves.append(v)
+        if eng.sides[side].k < k:
+            emptying.append(v)
+
+    monkeypatch.setattr(Engine, "_move_deltas", checked_move_deltas)
+    monkeypatch.setattr(Engine, "apply_move", counted_apply_move)
+    for model in [initial_solution(block_sample, 64, seed=2), *emptying_models()]:
+        _post_opt(Engine(model), 3)
+    assert len(moves) - len(emptying) > 200 and len(emptying) > 100
+    assert len(checks) > 1000
+
+
+def checked_correction(calls):
+    """`_cross_side_correction`, asserting its D bit-equal to the per-pair formula's;
+    appends each call's (support size, other-side k) to `calls`."""
+    correct = optimizer._cross_side_correction
+
+    def checked(eng, D_full, old_a, old_b):
+        want = D_full.copy()
+        flat_cross_side_correction(eng, want, old_a, old_b)
+        correct(eng, D_full, old_a, old_b)
+        assert np.array_equal(D_full.view(np.uint64), want.view(np.uint64))
+        calls.append((np.count_nonzero(old_a | old_b), len(old_a)))
+
+    return checked
+
+
+def assert_corrections_cover(calls):
+    """Corrections over a support of several clusters, with and without clusters outside it."""
+    assert any(s >= 3 and s == k for s, k in calls)
+    assert any(2 <= s < k for s, k in calls)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(sample=skewed_samples())
+def test_class_grouped_correction_equals_the_per_pair_formula(sample):
+    calls = []
+    with mock.patch.object(_engine, "shared_cache", CombinatoricsCache()), \
+            mock.patch.object(optimizer, "_cross_side_correction", checked_correction(calls)):
+        eng = Engine(maximal_model(sample))
+        for _ in _merges(eng):
+            pass
+    assert eng.sides["source"].k == eng.sides["target"].k == 1
+    assert len(calls) == sample.n_source + sample.n_target - 2
+
+
+def test_class_grouped_correction_equals_the_per_pair_formula_at_k64(block_sample):
+    calls = []
+    with mock.patch.object(optimizer, "_cross_side_correction", checked_correction(calls)):
+        eng = Engine(initial_solution(block_sample, 64, seed=5))
+        assert eng.sides["source"].k == eng.sides["target"].k == 64
+        for _ in _merges(eng):
+            pass
+    assert len(calls) == 2 * 63
+    assert_corrections_cover(calls)
+
+
+def test_memoized_count_change_equals_a_fresh_computation(block_sample, monkeypatch):
+    visits = Counter()
+    memoized = Engine._count_change
+
+    def checked(eng, side):
+        got = memoized(eng, side)
+        assert got == count_change(eng, side)
+        visits[side, eng.sides[side].k, eng.sides[OTHER_SIDE[side]].k] += 1
+        return got
+
+    monkeypatch.setattr(Engine, "_count_change", checked)
+    monkeypatch.setattr(optimizer, "POOL_MIN_CELLS", 2**63)  # the rounds run in this process
+    vns_fit(block_sample, FitConfig(rounds=2, seed=0))
+    for model in emptying_models():
+        vns_fit(model.sample, FitConfig(rounds=2, seed=1))
+    # each key reached again, with k or k_other changed in between
+    assert len(visits) > 100 and sum(visits.values()) > 2 * len(visits)
+    assert len({(side, k) for side, k, _ in visits}) < len(visits)
 
 
 # -- source/target mirror symmetry ---------------------------------------------------

@@ -138,6 +138,7 @@ FAILURES = [
     ("undirected-pattern --m --n", ["generate", "undirected-pattern", "--m", "5", "--n", "3", "-o", "g"]),
     ("block-diagonal --clusters --intra", ["generate", "block-diagonal", "--clusters", "9", "--intra", "0.5",
                                            "-o", "g"]),
+    ("repeated cocluster cells", ["coarsen", "repeated_cells.json", "bd.tsv", "--clusters", "1,1"]),
 ]
 
 
@@ -151,6 +152,9 @@ def broken_models(model: dict) -> dict:
     assign = model["source_assignment"]
     counts = [list(cell) for cell in model["cocluster_counts"]]
     counts[0][2] = 2**70
+    # a repeat of the first cell, whose last count is the true one
+    repeated = [list(cell) for cell in model["cocluster_counts"]]
+    repeated[:0] = [repeated[0][:2] + [99]]
     without = dict(model)
     del without["source_assignment"]
     return {
@@ -167,6 +171,7 @@ def broken_models(model: dict) -> dict:
         "zero_counts.json": edit("cocluster_counts", 0),
         "false_counts.json": edit("cocluster_counts", False),
         "blank_counts.json": edit("cocluster_counts", ""),
+        "repeated_cells.json": edit("cocluster_counts", repeated),
     }
 
 
