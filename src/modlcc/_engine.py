@@ -6,10 +6,12 @@ always the compact ids 0..k-1 of the current partition: when a merge or a
 move empties a cluster, its row (or column) of `M` and its margin and size
 entries are deleted in place, and every cluster above it moves down one
 id, in order.  The arrays are views that only shrink.  Each partition is one
-`Side` record in `Engine.sides`: assignment, per-cluster sizes and margins,
-cluster count k, vertex count n, vertex degrees and its vertex of each
-sample cell.  The sweeps read the sample's cell arrays directly, with no
-second copy of the edges.  `Engine.rows(side)` is M for sources and the
+`Side` record in `Engine.sides`: assignment, per-cluster sizes and margins
+with the criterion's per-cluster terms of them, cluster count k, vertex
+count n, vertex degrees and its vertex of each sample cell.  The mutators
+keep the terms up to date for the clusters they change, and the move and
+merge deltas and the criterion read them.  The sweeps read the sample's
+cell arrays directly, with no second copy of the edges.  `Engine.rows(side)` is M for sources and the
 view M.T for targets, so every operation reads its own side's clusters
 along axis 0 and is written once for both sides.  An engine starts from a
 `Coclustering`'s grid, sizes and margins; it never counts the sample
@@ -20,12 +22,11 @@ lookups, so incremental and full evaluations agree to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .combinatorics import shared_cache
-from .graph import int_bincount
 
 # each side's opposite, whose clusters index the columns of `Engine.rows(side)`
 OTHER_SIDE = {"source": "target", "target": "source"}
@@ -51,17 +52,11 @@ class Side:
     n: int  # vertices
     degrees: np.ndarray  # vertex -> edge count
     idx: np.ndarray  # this side's vertex of each sample cell
-
-
-@dataclass(eq=False)
-class DestTerms:
-    """Per-destination terms of the move deltas into every cluster, from the counts at build time."""
-
-    mc: np.ndarray  # margins
-    nc: np.ndarray  # sizes
-    lf_mc: np.ndarray  # lf[mc]
-    lf_nc: np.ndarray  # lf[nc]
-    prior: np.ndarray  # lnC(mc + nc - 1, nc - 1)
+    # set by `Engine`, which keeps them up to date
+    lf_margin: np.ndarray = field(init=False)  # cluster -> lf[margin]
+    lf_sizes: np.ndarray = field(init=False)  # cluster -> lf[sizes]
+    prior: np.ndarray = field(init=False)  # cluster -> lnC(margin + sizes - 1, sizes - 1)
+    log_partitions: np.ndarray = field(init=False)  # k - 1 -> ln B(n, k), for k up to the start's k
 
 
 def warm_tables(sample, k_source, k_target):
@@ -93,15 +88,24 @@ class Engine:
                 sample.n_target, sample.in_degrees, sample.tgt_idx,
             ),
         }
-        # cluster counts never grow while the engine lives, so the table is read once
-        self.lf = warm_tables(sample, model.k_source, model.k_target)
-        # `_count_change` by (side, k, k_other): n and m never change
-        self._count_changes = {}
+        # cluster counts never grow while the engine lives, so the tables are read once
+        lf = self.lf = warm_tables(sample, model.k_source, model.k_target)
+        for s in self.sides.values():
+            nc1 = s.sizes - 1
+            s.lf_margin, s.lf_sizes = lf[s.margin], lf[s.sizes]
+            s.prior = lf[s.margin + nc1] - lf[nc1] - s.lf_margin
+            s.log_partitions = self.cache._partition_row(s.n, s.k)
+
+    def _refresh(self, s, c):
+        """Bring the terms of cluster c of side `s` up to its counts, with the
+        IEEE operations of `__init__` on Python floats."""
+        at = self.lf.item
+        mc, nc = int(s.margin[c]), int(s.sizes[c])
+        lf_mc = at(mc)
+        s.lf_margin[c], s.lf_sizes[c] = lf_mc, at(nc)
+        s.prior[c] = at(mc + nc - 1) - at(nc - 1) - lf_mc
 
     # -- shared tables ------------------------------------------------------
-
-    def _logB(self, n, k):
-        return self.cache.log_partition_count(n, k)
 
     def _lnC(self, n, k):
         lf = self.lf
@@ -121,21 +125,13 @@ class Engine:
         src, tgt = self.sides["source"], self.sides["target"]
         kE = src.k * tgt.k
         t1 = math.log(src.n) + math.log(tgt.n)
-        t2 = self._logB(src.n, src.k) + self._logB(tgt.n, tgt.k)
+        t2 = src.log_partitions.item(src.k - 1) + tgt.log_partitions.item(tgt.k - 1)
         t3 = float(self._lnC(self.m + kE - 1, kE - 1))
-
-        def margin_prior(s):
-            mar, sz = s.margin, s.sizes
-            return float((lf[mar + sz - 1] - lf[sz - 1] - lf[mar]).sum())
-
-        def degree_likelihood(s):
-            return float(lf[s.margin].sum() - lf[s.degrees].sum())
-
-        t4 = margin_prior(src)
-        t5 = margin_prior(tgt)
+        t4 = float(src.prior.sum())
+        t5 = float(tgt.prior.sum())
         t6 = float(lf[self.m] - lf[self.M].sum())
-        t7 = degree_likelihood(src)
-        t8 = degree_likelihood(tgt)
+        t7 = float(src.lf_margin.sum() - lf[src.degrees].sum())
+        t8 = float(tgt.lf_margin.sum() - lf[tgt.degrees].sum())
         return (t1, t2, t3, t4, t5, t6, t7, t8)
 
     def criterion_total(self):
@@ -163,15 +159,9 @@ class Engine:
         M = self.rows(side)
         ra, rb = M[a], M[b]
         d = np.add.reduce(lf[ra] + lf[rb] - lf[ra + rb], axis=-1)
-        ma, mb = s.margin[a], s.margin[b]
-        na, nb = s.sizes[a], s.sizes[b]
-        # lnC(n, k) = lf[n] - lf[k] - lf[n - k], with lf[n - k] read once for both terms
-        lf_ma, lf_mb, lf_mab = lf[ma], lf[mb], lf[ma + mb]
-        d = d + (
-            (lf[ma + mb + na + nb - 1] - lf[na + nb - 1] - lf_mab)
-            - (lf[ma + na - 1] - lf[na - 1] - lf_ma)
-            - (lf[mb + nb - 1] - lf[nb - 1] - lf_mb)
-        )
+        mab, nab = s.margin[a] + s.margin[b], s.sizes[a] + s.sizes[b]
+        lf_ma, lf_mb, lf_mab = s.lf_margin[a], s.lf_margin[b], lf[mab]
+        d = d + ((lf[mab + nab - 1] - lf[nab - 1] - lf_mab) - s.prior[a] - s.prior[b])
         d = d + (lf_mab - lf_ma - lf_mb)
         return d if d.ndim else float(d)
 
@@ -181,6 +171,7 @@ class Engine:
         s = self.sides[side]
         for counts in (self.rows(side), s.margin, s.sizes):
             counts[keep] += counts[drop]
+        self._refresh(s, keep)
         s.assign[s.assign == drop] = keep
         self._delete(side, drop)
         return keep
@@ -190,8 +181,8 @@ class Engine:
         s = self.sides[side]
         rows = shift_out(self.rows(side), c)
         self.M = rows if side == "source" else rows.T
-        s.margin = shift_out(s.margin, c)
-        s.sizes = shift_out(s.sizes, c)
+        for name in ("margin", "sizes", "lf_margin", "lf_sizes", "prior"):
+            setattr(s, name, shift_out(getattr(s, name), c))
         s.assign -= s.assign > c
         s.k -= 1
 
@@ -213,9 +204,13 @@ class Engine:
         """
         s, o = self.sides[side], self.sides[OTHER_SIDE[side]]
         cap = self.rows(side).shape[1]
-        # one key per (vertex, other-side cluster)
-        keys, inverse = np.unique(s.idx[cells] * cap + o.assign[o.idx[cells]], return_inverse=True)
-        cnts = int_bincount(inverse, self.sample.counts[cells], len(keys))
+        # one key per (vertex, other-side cluster), each run of equal keys summed
+        keys = s.idx[cells] * cap + o.assign[o.idx[cells]]
+        order = keys.argsort()
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        cnts = np.add.reduceat(self.sample.counts[cells][order], starts)
+        keys = keys[starts]
         cols = keys % cap
         gain = self._gain_table(side, cnts)
         ptr = np.searchsorted(keys, np.arange(s.n + 1, dtype=np.int64) * cap).tolist()
@@ -252,9 +247,9 @@ class Engine:
         at = self.lf.item
         dv = int(s.degrees[v])
         na, ma = int(s.sizes[a]), int(s.margin[a])
-        lf_ma, lf_rest = at(ma), at(ma - dv)
-        base += lf_rest - lf_ma
-        base -= at(ma + na - 1) - at(na - 1) - lf_ma
+        lf_rest = at(ma - dv)
+        base += lf_rest - s.lf_margin.item(a)
+        base -= s.prior.item(a)
         if na > 1:
             base += at(ma - dv + na - 2) - at(na - 2) - lf_rest
         else:
@@ -268,71 +263,50 @@ class Engine:
         """Deltas (partition prior, cocluster prior) of `side` losing one cluster."""
         s = self.sides[side]
         k, k_other = s.k, self.sides[OTHER_SIDE[side]].k
-        change = self._count_changes.get((side, k, k_other))
-        if change is None:
-            kE_old, kE_new = k * k_other, (k - 1) * k_other
-            dB = self._logB(s.n, k - 1) - self._logB(s.n, k)
-            dC = self._lnC(self.m + kE_new - 1, kE_new - 1) - self._lnC(self.m + kE_old - 1, kE_old - 1)
-            change = self._count_changes[side, k, k_other] = (dB, float(dC))
-        return change
-
-    def dest_terms(self, side):
-        """The terms of a move delta that depend on the destination only; needs k >= 2."""
-        s = self.sides[side]
-        lf = self.lf
-        mc, nc = s.margin.copy(), s.sizes.copy()
-        lf_mc = lf[mc]
-        nc1 = nc - 1
-        return DestTerms(mc, nc, lf_mc, lf[nc], lf[mc + nc1] - lf[nc1] - lf_mc)
-
-    def refresh_dest_terms(self, side, dests, clusters):
-        """Bring the `dests` entries of `clusters` up to the current counts,
-        after a move between them that emptied no cluster; each entry gets
-        the IEEE operations of `dest_terms`, on Python floats."""
-        s = self.sides[side]
+        if k < 2:
+            raise ValueError(f"the {side} side has one cluster and cannot lose one")
         at = self.lf.item
-        for c in clusters:
-            mc, nc = int(s.margin[c]), int(s.sizes[c])
-            lf_mc = at(mc)
-            dests.mc[c], dests.nc[c], dests.lf_mc[c], dests.lf_nc[c] = mc, nc, lf_mc, at(nc)
-            dests.prior[c] = at(mc + nc - 1) - at(nc - 1) - lf_mc
+        m, kE_old, kE_new = self.m, k * k_other, (k - 1) * k_other
+        dB = s.log_partitions.item(k - 2) - s.log_partitions.item(k - 1)
+        # lnC(m + kE - 1, kE - 1) = lf[m + kE - 1] - lf[kE - 1] - lf[m]
+        dC = (at(m + kE_new - 1) - at(kE_new - 1) - at(m)) - (at(m + kE_old - 1) - at(kE_old - 1) - at(m))
+        return dB, dC
 
-    def _move_deltas(self, side, v, dests, profile):
+    def _move_deltas(self, side, v, profile):
         """Deltas of moving vertex v into each cluster of `side`, by cluster id.
 
-        `dests` is a `dest_terms` record, and `profile` is v's (cols, cnts,
-        gain) entry of `vertex_profiles`.  v's own cluster a gets +inf.  The
-        destination block M[:, cols] is copied into C order, the layout of an
-        np.ix_ gather, on both sides, so each row sums in the same order, at a
-        fraction of the cost.  With a gain table, each cell's likelihood term
-        is one lookup, and so is each term of taking v out of a: row a of the
-        block less v's cells reads table[offsets + x] = lf[x] - lf[x + cnts],
-        the negated terms lf[row_a] - lf[row_a - cnts], whose sum negates bit
-        for bit.  The own cluster's lookups can run past the factorial table,
-        hence the clipped reads; its entry is masked.
+        `profile` is v's (cols, cnts, gain) entry of `vertex_profiles`.  v's
+        own cluster a gets +inf.  The block M[:, cols] is gathered into C
+        order with one more row, k, that holds row a less v's counts, so
+        each row sums in the order of a 1-D sum, and row k's likelihood
+        terms, lf[x] - lf[x + cnts] at x = row a - cnts, are the removal's
+        terms negated, whose sum negates bit for bit.  With a gain table,
+        each term is one lookup.  The own cluster's lookups can run past
+        the factorial table, hence the clipped reads; its entry is masked.
         """
         cols, cnts, gain = profile
-        a = int(self.sides[side].assign[v])
+        s = self.sides[side]
+        a, k = int(s.assign[v]), s.k
         lf = self.lf
-        sub = np.ascontiguousarray(self.rows(side)[:, cols])
+        M = self.rows(side)
+        sub = np.empty((k + 1, len(cols)), dtype=M.dtype)
+        sub[:k] = M[:, cols]
+        np.subtract(sub[a], cnts, out=sub[k])
         if gain is None:
-            rowa = sub[a]
-            base = float(np.add.reduce(lf[rowa] - lf[rowa - cnts]))
             d6 = lf.take(sub)
             np.subtract(d6, lf.take(sub + cnts, mode="clip"), out=d6)
         else:
             table, offsets = gain
             sub += offsets
-            base = -float(np.add.reduce(table.take(sub[a] - cnts)))
             d6 = table.take(sub)
-        dv, base = self._removal_base(side, v, a, base)
         d6 = np.add.reduce(d6, axis=1)
-        mc = dests.mc + dv
+        dv, base = self._removal_base(side, v, a, -float(d6[k]))
+        mc = s.margin + dv
         lf_mv = lf.take(mc, mode="clip")
-        d7 = lf_mv - dests.lf_mc
-        mc += dests.nc
-        d4 = lf.take(mc, mode="clip") - dests.lf_nc - lf_mv - dests.prior
-        deltas = base + d6 + d7 + d4
+        d7 = lf_mv - s.lf_margin
+        mc += s.sizes
+        d4 = lf.take(mc, mode="clip") - s.lf_sizes - lf_mv - s.prior
+        deltas = base + d6[:k] + d7 + d4
         deltas[a] = np.inf
         return deltas
 
@@ -347,7 +321,7 @@ class Engine:
         others = np.flatnonzero(np.arange(s.k) != a)
         if len(others) == 0:
             return a, others, np.empty(0)
-        deltas = self._move_deltas(side, v, self.dest_terms(side), profile)
+        deltas = self._move_deltas(side, v, profile)
         return a, others, deltas[others]
 
     def apply_move(self, side, v, dest, profile):
@@ -367,8 +341,11 @@ class Engine:
         s.sizes[a] -= 1
         s.sizes[dest] += 1
         s.assign[v] = dest
+        self._refresh(s, dest)
         if s.sizes[a] == 0:
             self._delete(side, a)
+        else:
+            self._refresh(s, a)
 
     # -- export -------------------------------------------------------------------
 

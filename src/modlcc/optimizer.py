@@ -106,8 +106,7 @@ def _cluster_costs(eng: Engine, side: str, clusters):
     cost(a + b) - cost(a) - cost(b), plus `Engine.merge_global`.
     """
     s = eng.sides[side]
-    m, n = s.margin[clusters], s.sizes[clusters]
-    return eng.lf[m] + eng._lnC(m + n - 1, n - 1) - eng.lf[eng.rows(side)[clusters]].sum(axis=-1)
+    return s.lf_margin[clusters] + s.prior[clusters] - eng.lf[eng.rows(side)[clusters]].sum(axis=-1)
 
 
 def _pair_deltas(eng: Engine, side: str, D: np.ndarray, c, others: np.ndarray, cost: np.ndarray):
@@ -261,29 +260,20 @@ def _sweep(eng: Engine, side: str) -> bool:
 
     Each vertex's cluster profile is built once per sweep, in one pass over
     the side's edges (`Engine.vertex_profiles`), and serves both its move
-    deltas and its move.  The destination terms of all k clusters are
-    built once, and a move refreshes only the two entries it changed, O(1)
-    in place of O(k); a move that empties its cluster renumbers the
-    clusters, so the terms are built again.
+    deltas and its move.
     """
+    s = eng.sides[side]
+    if s.k < 2:
+        return False
     # the other side's partition is frozen, so every profile holds all sweep
     moved = False
-    s = eng.sides[side]
-    dests = None
     for v, profile in enumerate(eng.vertex_profiles(side)):
         if s.k < 2:
             break
-        if dests is None:
-            dests = eng.dest_terms(side)
-        deltas = eng._move_deltas(side, v, dests, profile)
+        deltas = eng._move_deltas(side, v, profile)
         best = int(deltas.argmin())
         if deltas[best] < 0.0:
-            a, k = int(s.assign[v]), s.k
             eng.apply_move(side, v, best, profile)
-            if s.k < k:
-                dests = None
-            else:
-                eng.refresh_dest_terms(side, dests, (a, best))
             moved = True
     return moved
 

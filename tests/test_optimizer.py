@@ -2,8 +2,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-from collections import Counter
-from dataclasses import fields
 from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 from unittest import mock
@@ -13,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modlcc import _engine, cli, optimizer
-from modlcc._engine import OTHER_SIDE, DestTerms, Engine
+from modlcc._engine import OTHER_SIDE, Engine
 from modlcc.combinatorics import CombinatoricsCache
 from modlcc.graph import MultigraphSample
 from modlcc.model import Coclustering, maximal_model, null_model
@@ -27,6 +25,7 @@ from oracles import (
     ix_post_optimize,
     random_assignment,
     random_sample,
+    unique_vertex_profiles,
 )
 from test_graph import multigraph_sample
 
@@ -163,7 +162,25 @@ def skewed_samples(draw):
     return skewed_sample(rng, n_s, n_t, dense, stray)
 
 
+def assert_side_terms_fresh(eng):
+    """Each side's per-cluster criterion terms equal, bit for bit, a fresh
+    computation from its margins and sizes."""
+    lf = eng.lf
+    for side in ("source", "target"):
+        s = eng.sides[side]
+        fresh = {
+            "lf_margin": lf[s.margin],
+            "lf_sizes": lf[s.sizes],
+            "prior": lf[s.margin + s.sizes - 1] - lf[s.sizes - 1] - lf[s.margin],
+        }
+        for name, want in fresh.items():
+            got = getattr(s, name)
+            assert got.dtype == want.dtype and got.shape == (s.k,), (side, name)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (side, name)
+
+
 def assert_caches_match_recomputation(eng, D):
+    assert_side_terms_fresh(eng)
     for side in ("source", "target"):
         k = eng.sides[side].k
         assert D[side].shape == (k, k)
@@ -308,21 +325,49 @@ def test_post_optimize_matches_oracle_sweeps_as_clusters_empty(monkeypatch, tabl
     assert emptied >= 20
 
 
+def assert_profiles_match_oracle(eng, side, cells=slice(None)):
+    got, want = eng.vertex_profiles(side, cells), unique_vertex_profiles(eng, side, cells)
+    assert len(got) == len(want) == eng.sides[side].n
+    for (cols, cnts, gain), (cols_w, cnts_w, gain_w) in zip(got, want):
+        for x, y in ((cols, cols_w), (cnts, cnts_w)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert (gain is None) == (gain_w is None)
+        if gain is not None:
+            assert np.array_equal(gain[0], gain_w[0]) and np.array_equal(gain[1], gain_w[1])
+    return got
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_vertex_profiles_match_the_unique_oracle(block_sample, monkeypatch, table):
+    if not table:
+        monkeypatch.setattr(_engine, "_GAIN_TABLE_MAX", 0)
+    for model in [initial_solution(block_sample, 64, seed=3), *emptying_models()]:
+        for side in ("source", "target"):
+            assert_profiles_match_oracle(Engine(model), side)
+    # "c" is a vocabulary vertex with no edges: its own cells select none
+    sample = MultigraphSample(["a", "b", "c"], ["x", "y"], {(0, 0): 2, (0, 1): 1, (1, 1): 3})
+    eng = Engine(Coclustering(sample, [0, 1, 1], [0, 1]))
+    assert_profiles_match_oracle(eng, "source")
+    own = np.flatnonzero(eng.sides["source"].idx == 2)
+    assert len(own) == 0
+    cols, cnts, _ = assert_profiles_match_oracle(eng, "source", own)[2]
+    assert len(cols) == len(cnts) == 0
+
+
 # -- incremental caches against fresh computation ------------------------------------
 
 
-def test_sweep_dest_terms_equal_fresh_ones_after_every_move(block_sample, monkeypatch):
-    # a move that empties no cluster refreshes two entries in place; one that does rebuilds them all
+def test_side_terms_equal_fresh_ones_after_every_move_and_merge(block_sample, monkeypatch):
+    # moves refresh the two clusters they change, or delete an emptied one,
+    # and merges refresh the survivor; the 40 hypothesis samples of
+    # `test_merge_caches_match_recomputation_to_the_root` check merges too
     moves, emptying, checks = [], [], []
     move_deltas, apply_move = Engine._move_deltas, Engine.apply_move
 
-    def checked_move_deltas(eng, side, v, dests, profile):
-        fresh = eng.dest_terms(side)
-        for f in fields(DestTerms):
-            got, want = getattr(dests, f.name), getattr(fresh, f.name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+    def checked_move_deltas(eng, side, v, profile):
+        assert_side_terms_fresh(eng)
         checks.append(v)
-        return move_deltas(eng, side, v, dests, profile)
+        return move_deltas(eng, side, v, profile)
 
     def counted_apply_move(eng, side, v, dest, profile):
         k = eng.sides[side].k
@@ -337,6 +382,13 @@ def test_sweep_dest_terms_equal_fresh_ones_after_every_move(block_sample, monkey
         _post_opt(Engine(model), 3)
     assert len(moves) - len(emptying) > 200 and len(emptying) > 100
     assert len(checks) > 1000
+    eng = Engine(initial_solution(block_sample, 64, seed=2))
+    merges = 0
+    for _ in _merges(eng):
+        assert_side_terms_fresh(eng)
+        merges += 1
+    assert_side_terms_fresh(eng)
+    assert merges == 2 * 63 and eng.sides["source"].k == eng.sides["target"].k == 1
 
 
 def checked_correction(calls):
@@ -384,14 +436,14 @@ def test_class_grouped_correction_equals_the_per_pair_formula_at_k64(block_sampl
     assert_corrections_cover(calls)
 
 
-def test_memoized_count_change_equals_a_fresh_computation(block_sample, monkeypatch):
-    visits = Counter()
-    memoized = Engine._count_change
+def test_count_change_equals_a_fresh_computation(block_sample, monkeypatch):
+    visits = set()
+    count = Engine._count_change
 
     def checked(eng, side):
-        got = memoized(eng, side)
+        got = count(eng, side)
         assert got == count_change(eng, side)
-        visits[side, eng.sides[side].k, eng.sides[OTHER_SIDE[side]].k] += 1
+        visits.add((side, eng.sides[side].k, eng.sides[OTHER_SIDE[side]].k))
         return got
 
     monkeypatch.setattr(Engine, "_count_change", checked)
@@ -399,9 +451,12 @@ def test_memoized_count_change_equals_a_fresh_computation(block_sample, monkeypa
     vns_fit(block_sample, FitConfig(rounds=2, seed=0))
     for model in emptying_models():
         vns_fit(model.sample, FitConfig(rounds=2, seed=1))
-    # each key reached again, with k or k_other changed in between
-    assert len(visits) > 100 and sum(visits.values()) > 2 * len(visits)
-    assert len({(side, k) for side, k, _ in visits}) < len(visits)
+    assert len(visits) > 100
+    # a side with one cluster has no cluster to lose
+    eng = Engine(null_model(block_sample))
+    for side in ("source", "target"):
+        with pytest.raises(ValueError):
+            eng.merge_global(side)
 
 
 # -- source/target mirror symmetry ---------------------------------------------------

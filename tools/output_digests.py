@@ -1,10 +1,15 @@
 """Print SHA-256 digests of the outputs that a same-bytes change must keep.
 
     python3 tools/output_digests.py
+    python3 tools/output_digests.py --check tools/output_digests.txt
 
-Run it on two checkouts and compare the printed lines: a change that keeps
-the search and the merge path unchanged prints the same digests.  The
-outputs are
+A change that keeps the search and the merge path unchanged prints the same
+digests.  With --check FILE, the lines are compared with FILE instead of
+printed: the run exits 1 and prints a unified diff when any line differs.
+`tools/output_digests.txt` holds the expected lines; only a change meant
+to move outputs records it again.  It was recorded with NumPy 2.4.6 and
+SciPy 1.17.1, and other versions can round a float differently and so
+change a digest.  The outputs are
 
 - the ingested sample (its labels, cell arrays, degrees and m) of the
   fit-large and explore edge files, seeds 1-3, parsed as `fit
@@ -44,7 +49,9 @@ built by the benchmark's own `perfbench/inputs.py`, with the same calls
 and arguments as its workloads.  Takes about a minute on two cores.
 """
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -342,5 +349,24 @@ def main():
     print(f"tied dendrogram: {sha256(json.dumps(dend.to_dict(), sort_keys=True).encode())}", flush=True)
 
 
+def check(path: str) -> int:
+    """Run `main` and compare its lines with the file at `path`; 0 when all are equal."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main()
+    with open(path, encoding="utf-8") as fh:
+        want = fh.read().splitlines(keepends=True)
+    got = out.getvalue().splitlines(keepends=True)
+    diff = list(difflib.unified_diff(want, got, fromfile=path, tofile="this checkout"))
+    if diff:
+        sys.stdout.writelines(diff)
+        return 1
+    print(f"all {len(got)} lines equal {path}")
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Print or check the output digests.")
+    parser.add_argument("--check", metavar="FILE", help="compare the lines with FILE; exit 1 on a difference")
+    args = parser.parse_args()
+    sys.exit(check(args.check) if args.check else main())
