@@ -69,7 +69,7 @@ def _read_vocabulary(path: str | None):
 
 
 def _load_sample(args, vocabulary=None, target_vocabulary=None, unify=None):
-    # the parser reads UTF-8 bytes, and decodes them only to check them
+    # the parser reads UTF-8 bytes; it decodes non-ASCII bytes only to check them
     return parse_edge_list(
         _read_file(args.edges, binary=True),
         unify=unify if unify is not None else getattr(args, "unify_vertices", False),

@@ -62,7 +62,8 @@ class MultigraphSample:
     ``tgt_idx`` and ``counts`` in row-major cell order.  ``edges`` is three
     integer columns within int64 (source index, target index, count), in
     any order and with repeated cells, whose counts are summed exactly in
-    int64; columns whose keys i * n_T + j strictly increase skip the sort.
+    int64; columns whose keys i * n_T + j never decrease skip the sort, and
+    only those with a repeated key are summed.
     A ``{(i, j): count}`` mapping is read as the same columns.  Columns of
     another dtype, such as floats, raise an EdgeListError.
     """
@@ -93,20 +94,33 @@ class MultigraphSample:
         if tgt_idx.min() < 0 or tgt_idx.max() >= n_t:
             raise EdgeListError("target index out of range")
         key = src_idx * n_t + tgt_idx
-        inverse = None
-        if (key[1:] <= key[:-1]).any():
-            # unordered or repeated cells; the sort runs with only the keys alive (peak RSS)
+        order = None
+        repeated = (key[1:] <= key[:-1]).any()  # or unordered
+        if repeated and (key[1:] < key[:-1]).any():
+            # unordered cells; the sort runs with only the keys alive (peak RSS)
             del src_idx, tgt_idx
-            key, inverse = np.unique(key, return_inverse=True)
-            src_idx, tgt_idx = np.divmod(key, n_t)
+            order = key.argsort()
+            key = key[order]
         # the per-entry counts are built after the sort for the same reason
         counts = _int64_column(edges[2])
         if counts.min() < 1:
             raise EdgeListError("edge counts must be positive")
         # a total within int64 bounds every cell's sum below
         self.m = _total(counts)
-        if inverse is not None:
-            counts = int_bincount(inverse, counts, len(key))
+        if order is not None:
+            counts = counts[order]
+        if repeated:
+            last = np.empty(len(key), dtype=bool)  # where each cell's run of entries ends
+            np.not_equal(key[1:], key[:-1], out=last[:-1])
+            last[-1] = True
+            run_end = last.nonzero()[0]
+            del last
+            if len(run_end) < len(key):
+                key = key[run_end]
+                # each cell's count is a difference of running totals, exact as the total is
+                counts = np.diff(np.add.accumulate(counts)[run_end], prepend=0)
+            del run_end
+            src_idx, tgt_idx = np.divmod(key, n_t)
         self.src_idx, self.tgt_idx, self.counts = src_idx, tgt_idx, counts
         self.out_degrees = int_bincount(src_idx, counts, n_s)
         self.in_degrees = int_bincount(tgt_idx, counts, n_t)
@@ -153,8 +167,9 @@ class MultigraphSample:
 
 
 _HEADERS = (["source", "target"], ["source", "target", "count"])
-# the line separators of `str.splitlines` other than "\n"
+# the line separators of `str.splitlines` other than "\n", and those of them that are ASCII
 _OTHER_SEPARATORS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_ASCII_SEPARATORS = [sep.encode() for sep in _OTHER_SEPARATORS if sep.isascii()]
 _TAB, _NEWLINE, _HASH = 9, 10, 35
 # UTF-8 never uses the byte 0xFF: it ends the lines of an iterable and pads the buffer and the label keys
 _FF = 0xFF
@@ -166,10 +181,10 @@ _MAX_DIGITS = 18
 _OFFSETS = np.arange(-_MAX_DIGITS, 0)
 _PLACES = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
 _ZERO = np.uint8(ord("0"))
-# the offsets, from a line's first delimiter, of the delimiters that end its first two fields
-_FIELD_ENDS = np.array([0, 1])
-# word | _KEY_PAD[r] keeps the low r bytes of a little-endian word and sets the others to 0xFF
-_KEY_PAD = np.array([2**64 - 2 ** (8 * r) for r in range(9)], dtype=np.uint64)
+# an odd multiplier, 2^64 over the golden ratio as an int64, whose products' high bits hash label keys
+_HASH_MULTIPLIER = np.int64(0x9E3779B97F4A7C15 - 2**64)
+# the fewest keys that `_number` hashes: below about 2,000 the argsort costs less than the hash's extra passes
+_HASH_MIN_KEYS = 4096
 # what the byte rules make of a line: left to Python, skipped, a data line, a data line with a count to read
 _OPEN, _SKIP, _DATA, _COUNT = range(4)
 
@@ -190,10 +205,19 @@ _RULES = {sep: _rule_table(sep) for sep in (_NEWLINE, _FF)}
 
 
 def _text_bytes(data) -> tuple[bytes, int]:
-    """The input's lines as UTF-8 bytes, each but perhaps the last ended by one separator byte, and that byte."""
+    """The input's lines as UTF-8 bytes, each but perhaps the last ended by one separator byte, and that byte.
+
+    Bytes that hold no other line separator than "\n" are returned as they
+    are.  ASCII bytes are checked with byte scans; other bytes are decoded,
+    which checks that they are UTF-8.
+    """
     if hasattr(data, "read"):
         data = data.read()
-    if isinstance(data, bytes):
+    if isinstance(data, bytes) and data.isascii():
+        if not any(sep in data for sep in _ASCII_SEPARATORS):
+            return data, _NEWLINE
+        data = data.decode("ascii")
+    elif isinstance(data, bytes):
         text = data.decode("utf-8")  # a UnicodeDecodeError, a ValueError, on invalid UTF-8
         if not any(sep in text for sep in _OTHER_SEPARATORS):
             return data, _NEWLINE
@@ -233,27 +257,51 @@ def _line_count(line: str, lineno: int, header: bool) -> int | None:
 
 
 def _line_spans(u8: np.ndarray, lo: int, hi: int, sep: int):
-    """The lines of u8[lo + 1:hi], where u8[lo] is a separator: the start and
-    the end of each line's first two fields, as two (lines, 2) arrays, each
-    line's end and its tab count."""
+    """The lines of u8[lo + 1:hi], where u8[lo] is a separator: the
+    delimiters before and after each line's first two fields, as two
+    (lines, 2) arrays, each line's end and its tab count, an int if every
+    line has the same one.
+
+    When every line has the same number of tabs, and at least one, its
+    fields lie between consecutive delimiters, and the arrays are views of
+    the one array of delimiter positions.
+    """
     body = u8[lo:hi]
-    is_delim = body == _TAB
-    is_delim |= body == sep
+    if sep == _TAB + 1:
+        # the tab and the newline are the only bytes that fall below 2 once the tab's value is taken off
+        is_delim = np.subtract(body, _TAB, dtype=np.uint8)
+        is_delim = np.less(is_delim, 2, out=is_delim.view(bool))
+    else:
+        is_delim = body == _TAB
+        is_delim |= body == sep
     delim = is_delim.nonzero()[0]
     del is_delim
+    is_end = body[delim] == sep  # first the separator at lo
     delim += lo
-    last = (u8[delim] == sep).nonzero()[0]  # the line ends, as indices into delim; first the one at lo
+    n_lines = int(np.count_nonzero(is_end)) - 1
+    per_line = (len(delim) - 1) // max(n_lines, 1)  # delimiters per line, if all lines have as many
+    if per_line > 1 and per_line * n_lines == len(delim) - 1 and is_end[::per_line].all():
+        before = delim[:-1].reshape(n_lines, per_line)
+        after = delim[1:].reshape(n_lines, per_line)
+        return before[:, :2], after[:, :2], after[:, -1], per_line - 1
+    last = is_end.nonzero()[0]  # the line ends, as indices into delim
+    del is_end
     ends = delim[last]
-    first = last[:-1] + 1  # each line's first delimiter
-    n_tabs = last[1:] - first
+    n_tabs = last[1:] - last[:-1]
+    n_tabs -= 1
+    first = last[:-1]
+    first += 1  # each line's first delimiter
     del last
+    after = np.empty((len(first), 2), dtype=np.int64)
+    after[:, 0] = delim[first]
+    first += 1
     # a line without a tab ends its first field; the end of its second is never read
-    field_end = delim.take(first[:, None] + _FIELD_ENDS, mode="clip")
+    after[:, 1] = delim.take(first, mode="clip")
     del first, delim
-    field_start = np.empty_like(field_end)
-    np.add(ends[:-1], 1, out=field_start[:, 0])
-    np.add(field_end[:, 0], 1, out=field_start[:, 1])
-    return field_start, field_end, ends[1:], n_tabs
+    before = np.empty_like(after)
+    before[:, 0] = ends[:-1]
+    before[:, 1] = after[:, 0]
+    return before, after, ends[1:], n_tabs
 
 
 def _digit_counts(u8: np.ndarray, tab: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,24 +323,31 @@ def _digit_counts(u8: np.ndarray, tab: np.ndarray, end: np.ndarray) -> tuple[np.
     return value, ok
 
 
-def _field_keys(buf: bytes, start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, list[bytes]]:
-    """A 64-bit key per field of `length` bytes at `start` in `buf`, equal
-    for fields of equal bytes, and the bytes of each field longer than 8
-    bytes, by index.
+def _field_keys(buf: bytes, before: np.ndarray, after: np.ndarray, table: dict[bytes, int]) -> np.ndarray:
+    """A 64-bit key per field buf[before + 1:after], equal for fields of
+    equal bytes, as an int64 array shaped like `before`.  `table` numbers
+    the fields longer than 8 bytes by their bytes, and gains the new ones.
 
     A field of at most 8 bytes is keyed by its bytes padded with 0xFF, which
     UTF-8 never uses.  A longer one is keyed by its index among the longer
     labels, with the low byte 0xFE, which no shorter label's key has.
     """
-    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))  # the 8 bytes from each position
-    keys = words[start]
-    keys |= _KEY_PAD.take(length, mode="clip")
-    table: dict[bytes, int] = {}
-    if np.maximum.reduce(length) > 8:
-        long = (length > 8).nonzero()[0]
-        keys[long] = [table.setdefault(buf[s:s + n], len(table)) << 8 | 0xFE
-                      for s, n in zip(start[long].tolist(), length[long].tolist())]
-    return keys, list(table)
+    # the 8 bytes after each position
+    words = np.ndarray((len(buf) - 8,), dtype="<i8", buffer=buf, offset=1, strides=(1,))
+    keys = words[before]
+    length = after - before
+    length -= 1
+    long = None
+    if length.size and length.max() > 8:
+        long = (length > 8).nonzero()
+        long_keys = [table.setdefault(buf[b + 1:b + 1 + n], len(table)) << 8 | 0xFE
+                     for b, n in zip(before[long].tolist(), length[long].tolist())]
+    # -1 << 8r keeps the low r bytes of a word and sets the others; a shift of 64 or more gives 0
+    length <<= 3
+    keys |= np.left_shift(-1, length, out=length)
+    if long is not None:
+        keys[long] = long_keys
+    return keys
 
 
 def _label_text(keys: np.ndarray, long_labels: list[bytes]) -> list[str]:
@@ -301,37 +356,74 @@ def _label_text(keys: np.ndarray, long_labels: list[bytes]) -> list[str]:
             .decode("utf-8", "surrogatepass") for key in keys.tolist()]
 
 
+def _hash_order(keys: np.ndarray, size0: int):
+    """The order, the sorted keys and where each run starts, as `_number`
+    reads them, from one sort of packed (hash, stream, position) words;
+    None when two keys of one stream differ but share a hash.
+
+    The sort groups each stream's entries of one hash in runs, each in
+    position order.  A run is one key's entries only if no key in it
+    differs from the one before, which one pass over the sorted keys checks.
+    """
+    n = len(keys)
+    bits = (n - 1).bit_length()  # the position bits, below the stream bit
+    packed = keys * _HASH_MULTIPLIER  # wraps, as a hash should
+    packed &= -2 << bits
+    packed[size0:] |= 1 << bits
+    order = np.arange(n)
+    packed |= order
+    packed.sort()
+    np.bitwise_and(packed, (1 << bits) - 1, out=order)
+    packed >>= bits
+    new = np.empty(n, dtype=bool)  # where a run of equal (hash, stream) starts
+    new[0] = True
+    np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    sorted_keys = keys.take(order, out=packed, mode="clip")  # "clip": unbuffered
+    collided = sorted_keys[1:] != sorted_keys[:-1]
+    if np.greater(collided, new[1:], out=collided).any():
+        return None
+    return order, sorted_keys, new
+
+
 def _number(keys: np.ndarray, size0: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Vertex ids by first appearance.  keys[:size0] and keys[size0:] are two
-    streams of fields; each numbers its own vertices from 0 in the order in
-    which their keys first appear in it.  Returns each field's vertex, each
-    vertex's key (those of the first stream first) and the first stream's
-    vertex count.  Sorts `keys` in place and reuses its memory, which keeps
-    the peak low."""
-    two = size0 < len(keys)
-    order = keys[:size0].argsort()
-    if two:
-        order = np.concatenate([order, keys[size0:].argsort() + size0])
-    keys.take(order, out=keys)  # buffered, so the overlap is safe
-    new = np.empty(len(keys), dtype=bool)  # where a run of equal keys starts
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    if two:
-        new[size0] = True
+    streams of int64 fields; each numbers its own vertices from 0 in the
+    order in which their keys first appear in it.  Returns each field's
+    vertex, each vertex's key as uint64 (those of the first stream first)
+    and the first stream's vertex count.  The vertices are written over
+    `keys`, which keeps the peak low.
+
+    With at least `_HASH_MIN_KEYS` keys, one sort of their packed hashes
+    orders them (`_hash_order`); with fewer, or if two keys share a hash,
+    each stream is argsorted.
+    """
+    n = len(keys)
+    hashed = _hash_order(keys, size0) if n >= _HASH_MIN_KEYS else None
+    if hashed is not None:
+        order, sorted_keys, new = hashed
+    else:
+        order = keys[:size0].argsort()
+        if size0 < n:
+            order = np.concatenate([order, keys[size0:].argsort() + size0])
+        sorted_keys = keys[order]
+        new = np.empty(n, dtype=bool)  # where a run of equal keys starts
+        new[0] = True
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+        if size0 < n:
+            new[size0] = True
     run_start = new.nonzero()[0]
-    # the first position of each run's key; argsort need not be stable
-    first = np.minimum.reduceat(order, run_start)
-    run_vertex = np.sort(first).searchsorted(first)
-    vertex_key = np.empty(len(first), dtype=keys.dtype)
-    vertex_key[run_vertex] = keys[run_start]
-    run = np.add.accumulate(new, dtype=np.int64, out=keys.view(np.int64))
+    # the first position of each run's key: a hashed run is in position order, and argsort need not be stable
+    first = np.minimum.reduceat(order, run_start) if hashed is None else order[run_start]
+    first_sorted = np.sort(first)
+    run_vertex = first_sorted.searchsorted(first)
+    vertex_key = np.empty(len(first), dtype=np.uint64)
+    vertex_key[run_vertex] = sorted_keys[run_start]
+    run = np.add.accumulate(new, dtype=np.int64, out=keys)
     del new
     run -= 1
-    vertex = np.empty(len(keys), dtype=np.int64)
-    vertex[order] = run_vertex[run]
-    if not two:
-        return vertex, vertex_key, len(vertex_key)
-    n0 = int(run_start.searchsorted(size0))
+    vertex = keys
+    vertex[order] = run_vertex.take(run, out=sorted_keys, mode="clip")
+    n0 = int(first_sorted.searchsorted(size0))
     vertex[size0:] -= n0
     return vertex, vertex_key, n0
 
@@ -364,6 +456,8 @@ def parse_edge_list(
 
     The text is read as one byte buffer: whole-array passes find the tabs
     and line ends, read counts of up to 18 digits and number the labels.
+    Bytes input is not decoded if it is ASCII, only scanned for line
+    separators, and a large file is numbered by one sort of hashed keys.
     Python checks only the lines those byte rules leave open: lines that
     start with whitespace, a control or non-ASCII byte or `#`, the rows
     before the first data line and that line if it starts as a header
@@ -382,29 +476,29 @@ def parse_edge_list(
     buf = b"".join([pad, *vocab_bytes, bytes([sep]), raw, tail, pad])
     del raw, vocab_bytes
     u8 = np.frombuffer(buf, dtype=np.uint8)
-    field_start, field_end, ends, n_tabs = _line_spans(u8, int(vocab_end[-1]), len(buf) - _PAD, sep)
+    before, after, ends, n_tabs = _line_spans(u8, int(vocab_end[-1]), len(buf) - _PAD, sep)
 
     # the byte rules: a line is skipped, or settled as a data line, or left open
-    code = _RULES[sep][u8[field_start[:, 0]], np.minimum(n_tabs, 3)]
+    code = _RULES[sep][u8[1:][before[:, 0]], np.minimum(n_tabs, 3)]
     del n_tabs
     counts = np.ones(len(code), dtype=np.int64)
     pending = (code == _COUNT).nonzero()[0]
     if len(pending):
-        value, ok = _digit_counts(u8, field_end[pending, 1], ends[pending])
+        value, ok = _digit_counts(u8, after[pending, 1], ends[pending])
         counts[pending] = value
         code[pending] = np.where(ok, _COUNT, _OPEN)
         del value, ok
     del pending
 
     def line(i):
-        return buf[field_start[i, 0]:ends[i]].decode("utf-8", "surrogatepass")
+        return buf[before[i, 0] + 1:ends[i]].decode("utf-8", "surrogatepass")
 
     # Python settles the rest in line order, so the first malformed line raises:
     # first every row up to the first data line, each of which may be a header ...
     rows = (code != _SKIP).nonzero()[0]
     skipped = False  # whether Python skips any of `rows`
     for i in rows:
-        if code[i] != _OPEN and buf[field_start[i, 0]:field_start[i, 0] + 6].lower() != b"source":
+        if code[i] != _OPEN and buf[before[i, 0] + 1:before[i, 0] + 7].lower() != b"source":
             break  # a data line that no header matches
         c = _line_count(line(i), i + 1, header=True)
         if c is not None:
@@ -424,30 +518,30 @@ def parse_edge_list(
     if not n:
         raise EdgeListError("no edges")
     if n < len(code):
-        field_start, field_end, counts = field_start[rows], field_end[rows], counts[rows]
+        before, after, counts = before[rows], after[rows], counts[rows]
     del code, rows, ends
 
+    long_table: dict[bytes, int] = {}
+    vocab_keys = vocab_end[:0]
+    if len(vocab_end) > 1:
+        vocab_keys = _field_keys(buf, vocab_end[:-1] - 1, vocab_end[1:], long_table)
+    field_keys = _field_keys(buf, before, after, long_table)
+    del before, after, buf, u8
     n_vs = len(vocab_s)
-
-    def stream_fields(vocab, fields):
-        """The vocabulary and (lines, 2) field bounds laid out as the streams
-        in which labels first appear: its vocabulary, then its fields line by line."""
-        if unify:
-            return np.concatenate([vocab, fields.ravel()])
-        if undirected:
-            return np.concatenate([vocab[:n_vs], fields.ravel(), vocab[n_vs:], fields[:, ::-1].ravel()])
-        return np.concatenate([vocab[:n_vs], fields[:, 0], vocab[n_vs:], fields[:, 1]])
-
-    start = stream_fields(vocab_end[:-1], field_start)
-    del field_start
-    length = stream_fields(vocab_end[1:], field_end)
-    del field_end
-    length -= start
+    # the keys laid out as the streams in which labels first appear: a
+    # stream's vocabulary, then its fields line by line
+    if unify:
+        keys = np.concatenate([vocab_keys, field_keys.ravel()])
+    elif undirected:
+        keys = np.concatenate([vocab_keys[:n_vs], field_keys.ravel(), vocab_keys[n_vs:],
+                               field_keys[:, ::-1].ravel()])
+    else:
+        keys = np.concatenate([vocab_keys[:n_vs], field_keys[:, 0], vocab_keys[n_vs:], field_keys[:, 1]])
+    del field_keys
     size0 = n_vs + (2 if unify or undirected else 1) * n
-    keys, long_labels = _field_keys(buf, start, length)
-    del start, length, buf, u8
     vertex, vertex_key, n_source = _number(keys, size0)
     del keys
+    long_labels = list(long_table)
     source_labels = _label_text(vertex_key[:n_source], long_labels)
     target_labels = source_labels if unify else _label_text(vertex_key[n_source:], long_labels)
 

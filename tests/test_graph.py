@@ -1,10 +1,13 @@
 import io
+import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modlcc import graph
 from modlcc.graph import EdgeListError, MultigraphSample, parse_edge_list
 
 from oracles import DictEdgeListError, dict_parse_edge_list
@@ -186,9 +189,10 @@ def test_sample_takes_any_integer_columns_within_int64():
 
 
 @st.composite
-def split_cells(draw):
+def split_cells(draw, in_order=False):
     """(labels, {(i, j): count}, the same cells as columns): the entries come
-    shuffled, and each cell's count is split over up to 4 repeated entries."""
+    shuffled, or in cell order if `in_order`, and each cell's count is split
+    over up to 4 repeated entries."""
     n_s, n_t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     keys = st.tuples(st.integers(0, n_s - 1), st.integers(0, n_t - 1))
     cells = draw(st.dictionaries(keys, st.integers(1, 2**60), min_size=1, max_size=6))
@@ -196,7 +200,7 @@ def split_cells(draw):
     for (i, j), count in cells.items():
         cuts = sorted(draw(st.sets(st.integers(1, max(count - 1, 1)), max_size=min(count - 1, 3))))
         entries += [(i, j, hi - lo) for lo, hi in zip([0] + cuts, cuts + [count])]
-    entries = draw(st.permutations(entries))
+    entries = sorted(entries, key=lambda e: e[:2]) if in_order else draw(st.permutations(entries))
     columns = [list(col) for col in zip(*entries)]
     if draw(st.booleans()):
         columns = [np.array(col) for col in columns]
@@ -206,6 +210,17 @@ def split_cells(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(split_cells())
 def test_shuffled_and_split_columns_build_the_mapping_sample(case):
+    assert_columns_build_the_mapping_sample(case)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(split_cells(in_order=True))
+def test_ordered_columns_with_repeated_cells_build_the_mapping_sample(case):
+    # non-decreasing keys: each run of repeated cells is summed without a sort
+    assert_columns_build_the_mapping_sample(case)
+
+
+def assert_columns_build_the_mapping_sample(case):
     (labels_s, labels_t), cells, columns = case
     from_map = MultigraphSample(labels_s, labels_t, cells)
     from_columns = MultigraphSample(labels_s, labels_t, columns)
@@ -256,8 +271,8 @@ def test_edges_derived_on_first_read():
 
 # labels that start with whitespace, a control byte or a non-ASCII byte, hold
 # a NUL (which pads no key), or are longer than 8 bytes and share a prefix
-LABELS = ["a", "b", "a b", " c", "d ", "source", "Target", "x y", "\xa0a", "a\x00", "é", "abcdefgh9",
-          "abcdefgh9abcdefgh_20"]
+LABELS = ["a", "b", "a b", " c", "d ", "source", "Target", "x y", "\xa0a", "a\x00", "é", "abcdefgh",
+          "abcdefgh9", "abcdefgh9abcdefgh_20"]
 # a target may start with "#"; as a source it makes the line a comment
 TARGETS = LABELS + ["#a"]
 # mostly valid counts, so that most texts parse; the others are rejected, or
@@ -307,7 +322,8 @@ def _as_input(lines, form, newline):
 @given(
     lines=edge_list_lines(),
     form=st.sampled_from(["str", "bytes", "text file", "bytes file", "iterable"]),
-    newline=st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]),
+    newline=st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                             "\u2029"]),
     unify=st.booleans(),
     undirected=st.booleans(),
     vocabulary=st.none() | st.lists(st.sampled_from(LABELS + ["z", "w"]), max_size=5),
@@ -337,6 +353,68 @@ def assert_matches_oracle(make_input, **options):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert sample.m == expect.m
     assert sample.edges == expect.edges and list(sample.edges) == list(expect.edges)
+
+
+# every line separator of `str.splitlines` but "\n"; ASCII lines around the
+# ASCII ones take the byte scan of bytes input, the others the decode
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+@pytest.mark.parametrize("form", ["str", "bytes", "bytes file"])
+def test_every_line_separator_splits_lines(newline, form):
+    assert_matches_oracle(lambda: _as_input(["a\tb", "c\td\t2", "a\tb"], form, newline))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    lines=edge_list_lines(),
+    form=st.sampled_from(["str", "bytes", "iterable"]),
+    unify=st.booleans(),
+    undirected=st.booleans(),
+    vocabulary=st.none() | st.lists(st.sampled_from(LABELS + ["z", "w"]), max_size=5),
+    target_vocabulary=st.none() | st.lists(st.sampled_from(LABELS + ["y"]), max_size=5),
+    collide=st.booleans(),
+)
+def test_hashed_numbering_matches_the_oracle(lines, form, unify, undirected, vocabulary, target_vocabulary,
+                                             collide):
+    # every input numbered by the hashed sort; with a zero multiplier every
+    # key hashes alike, so any stream with two labels falls back to argsort
+    with mock.patch.object(graph, "_HASH_MIN_KEYS", 0), \
+            mock.patch.object(graph, "_HASH_MULTIPLIER", np.int64(0 if collide else graph._HASH_MULTIPLIER)):
+        assert_matches_oracle(lambda: _as_input(lines, form, "\n"), unify=unify, undirected=undirected,
+                              vocabulary=vocabulary, target_vocabulary=target_vocabulary)
+
+
+def test_hash_collisions_fall_back_to_argsort():
+    keys = np.array([5, 7, 5, 5, 7, 9], dtype=np.int64)
+    want = ([0, 1, 0, 0, 0, 1], [5, 7, 7, 9], 2)
+    for multiplier, collides in ((graph._HASH_MULTIPLIER, False), (np.int64(0), True)):
+        with mock.patch.object(graph, "_HASH_MULTIPLIER", multiplier):
+            assert (graph._hash_order(keys, 4) is None) == collides
+            with mock.patch.object(graph, "_HASH_MIN_KEYS", 0):
+                vertex, vertex_key, n0 = graph._number(keys.copy(), 4)
+        assert (vertex.tolist(), vertex_key.tolist(), n0) == want
+    # equal keys in the two streams share a hash but never a run
+    with mock.patch.object(graph, "_HASH_MULTIPLIER", np.int64(0)):
+        order, sorted_keys, new = graph._hash_order(np.array([3, 3, 3], dtype=np.int64), 2)
+    assert order.tolist() == [0, 1, 2] and new.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("shape", ["regular", "irregular"])
+def test_large_inputs_match_the_oracle(shape):
+    # enough fields for the hashed sort; labels of every length class, and
+    # lines with and without counts, so both line layouts are read
+    rng = random.Random(7)
+    labels = [f"v{i}" for i in range(300)] + ["abcdefgh", "abcdefgh9", "\u00e9t\u00e9", "a label of twenty b"]
+    lines = [f"{rng.choice(labels)}\t{rng.choice(labels)}" + (f"\t{rng.randint(1, 9)}" if shape == "irregular"
+                                                             and rng.random() < 0.5 else "")
+             for _ in range(3000)]
+    if shape == "irregular":
+        lines[100:100] = ["# a comment", ""]
+    text = "\n".join(lines) + "\n"
+    assert len(lines) * 2 >= graph._HASH_MIN_KEYS
+    for unify in (False, True):
+        for undirected in (False, True):
+            assert_matches_oracle(lambda: text.encode(), unify=unify, undirected=undirected,
+                                  vocabulary=labels[::-3], target_vocabulary=labels[5:50])
 
 
 # lines that Python settles, each after a data line: blank or comment once

@@ -12,10 +12,12 @@ SciPy 1.17.1, and other versions can round a float differently and so
 change a digest.  The outputs are
 
 - the ingested sample (its labels, cell arrays, degrees and m) of the
-  fit-large and explore edge files, seeds 1-3, parsed as `fit
-  --unify-vertices` and `coarsen` parse them, and of the generator samples
-  they are written from, so that a change to how labels are numbered or
-  cells summed and ordered shows here before it shows in any model;
+  fit-large and explore edge files, seeds 1-3, parsed from a str with the
+  options of `fit --unify-vertices` and `coarsen`, and of the generator
+  samples they are written from, so that a change to how labels are
+  numbered or cells summed and ordered shows here before it shows in any
+  model; and whether the file's bytes, as the commands pass them, give
+  the same sample as the str;
 - the same for the 800 fit-batch texts of seeds 1-2, one digest per seed
   over all samples in order, which run the parser on small inputs;
 - the same for `HARD_GRAMMAR`, a built-in text with every kind of line the
@@ -271,16 +273,17 @@ def ingest_digests(work: str):
             sample, _, _ = inputs.block_diagonal(params["n"], params["blocks"], params["noise"], params["m"], seed)
             print(f"ingest {name} seed {seed} generator: {sample_digest(sample)}", flush=True)
             paths, _ = write(seed, work)
-            with open(paths[0], encoding="utf-8") as fh:
-                text = fh.read()
-            if name == "fit-large":
-                parsed = parse_edge_list(text, unify=True)
-            else:
+            with open(paths[0], "rb") as fh:
+                raw = fh.read()
+            options = dict(unify=True)
+            if name == "explore":
                 with open(paths[1], encoding="utf-8") as fh:
                     header = model_header(json.load(fh))
-                parsed = parse_edge_list(text, unify=header[2], vocabulary=header[0],
-                                         target_vocabulary=header[1])
-            print(f"ingest {name} seed {seed} tsv: {sample_digest(parsed)}", flush=True)
+                options = dict(unify=header[2], vocabulary=header[0], target_vocabulary=header[1])
+            digest = sample_digest(parse_edge_list(raw.decode("utf-8"), **options))
+            print(f"ingest {name} seed {seed} tsv: {digest}", flush=True)
+            same = sample_digest(parse_edge_list(raw, **options)) == digest
+            print(f"ingest {name} seed {seed} tsv as bytes same as str: {same}", flush=True)
     for seed in (1, 2):
         graphs, _ = inputs.batch_graphs(seed, BATCH_GRAPHS)
         h = hashlib.sha256()
