@@ -404,9 +404,12 @@ def test_large_inputs_match_the_oracle(shape):
     # lines with and without counts, so both line layouts are read
     rng = random.Random(7)
     labels = [f"v{i}" for i in range(300)] + ["abcdefgh", "abcdefgh9", "\u00e9t\u00e9", "a label of twenty b"]
-    lines = [f"{rng.choice(labels)}\t{rng.choice(labels)}" + (f"\t{rng.randint(1, 9)}" if shape == "irregular"
-                                                             and rng.random() < 0.5 else "")
-             for _ in range(3000)]
+    lines = []
+    for _ in range(3000):
+        fields = [rng.choice(labels), rng.choice(labels)]
+        if shape == "irregular" and rng.random() < 0.5:
+            fields.append(str(rng.randint(1, 9)))
+        lines.append("\t".join(fields))
     if shape == "irregular":
         lines[100:100] = ["# a comment", ""]
     text = "\n".join(lines) + "\n"
