@@ -8,7 +8,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -18,6 +18,7 @@ from .model import Coclustering, CriterionBreakdown, null_model
 
 __all__ = [
     "FitConfig",
+    "PhaseLog",
     "RoundLog",
     "FitResult",
     "initial_solution",
@@ -48,7 +49,26 @@ class FitConfig:
             raise ValueError("rounds must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
+class PhaseLog:
+    """What one phase of a round did, and the cluster counts after it.
+
+    A round's phases are "start", "pre-opt", "merges" and "post-opt".
+    `converged` is False only for a move phase that stopped at its pass cap
+    with its last pass still moving vertices.
+    """
+
+    phase: str
+    passes: int
+    moves: int
+    merges: int
+    converged: bool
+    k_source: int
+    k_target: int
+    seconds: float
+
+
+@dataclass(slots=True)
 class RoundLog:
     round: int
     seed: int
@@ -58,9 +78,10 @@ class RoundLog:
     final_k_target: int
     criterion: float
     seconds: float
+    phases: list[PhaseLog] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return self.__dict__.copy()
+        return asdict(self)
 
 
 @dataclass
@@ -72,9 +93,10 @@ class FitResult:
 
     def to_dict(self, seed=None) -> dict:
         d = self.best_model.to_dict(seed=seed if seed is not None else getattr(self.config, "seed", None))
-        # wall times stay out of the file so identical runs serialize identically
+        # wall times, and the phase records that hold them, stay out of the
+        # file so identical runs serialize identically
         d["fit_log"] = [
-            {k: v for k, v in r.to_dict().items() if k != "seconds"} for r in self.rounds
+            {k: v for k, v in r.to_dict().items() if k not in ("seconds", "phases")} for r in self.rounds
         ]
         return d
 
@@ -236,12 +258,14 @@ def _merges(eng: Engine):
         _cross_side_correction(eng, full[other], old_a, old_b)
 
 
-def _gbum(eng: Engine):
-    """Run greedy bottom-up merging in place until no merge improves."""
+def _gbum(eng: Engine) -> int:
+    """Run greedy bottom-up merging in place until no merge improves; returns the merges."""
+    merges = 0
     for total, _, _, _ in _merges(eng):
         if not total < 0.0:
             break
-    return eng
+        merges += 1
+    return merges
 
 
 def gbum(model: Coclustering) -> Coclustering:
@@ -255,8 +279,8 @@ def gbum(model: Coclustering) -> Coclustering:
 # -- vertex-move post-optimization ----------------------------------------------
 
 
-def _sweep(eng: Engine, side: str) -> bool:
-    """One greedy best-move pass over all vertices of `side`; True if anything moved.
+def _sweep(eng: Engine, side: str) -> int:
+    """One greedy best-move pass over all vertices of `side`; returns the moves.
 
     Each vertex's cluster profile is built once per sweep, in one pass over
     the side's edges (`Engine.vertex_profiles`), and serves both its move
@@ -264,9 +288,9 @@ def _sweep(eng: Engine, side: str) -> bool:
     """
     s = eng.sides[side]
     if s.k < 2:
-        return False
+        return 0
     # the other side's partition is frozen, so every profile holds all sweep
-    moved = False
+    moves = 0
     for v, profile in enumerate(eng.vertex_profiles(side)):
         if s.k < 2:
             break
@@ -274,17 +298,23 @@ def _sweep(eng: Engine, side: str) -> bool:
         best = int(deltas.argmin())
         if deltas[best] < 0.0:
             eng.apply_move(side, v, best, profile)
-            moved = True
-    return moved
+            moves += 1
+    return moves
 
 
-def _post_opt(eng: Engine, passes: int):
-    for _ in range(passes):
-        moved = _sweep(eng, "source")
-        moved |= _sweep(eng, "target")
+def _post_opt(eng: Engine, passes: int) -> tuple[int, int, bool]:
+    """Up to `passes` passes of a source sweep then a target sweep.
+
+    Returns (passes run, moves, converged): converged once a pass moves
+    nothing, not if the last pass allowed still moved vertices.
+    """
+    moves = 0
+    for p in range(1, passes + 1):
+        moved = _sweep(eng, "source") + _sweep(eng, "target")
         if not moved:
-            break
-    return eng
+            return p, moves, True
+        moves += moved
+    return passes, moves, False
 
 
 def post_optimize(model: Coclustering, passes: int = 2) -> Coclustering:
@@ -300,17 +330,26 @@ def post_optimize(model: Coclustering, passes: int = 2) -> Coclustering:
 def _round(sample, max_init, child):
     """One round: a random start from seed `child`, moves, merges, moves.
 
-    Returns (initial (k_source, k_target), final (source, target)
-    assignments, criterion, seconds).
+    Returns (a `PhaseLog` per phase, final (source, target) assignments,
+    criterion, seconds).
     """
-    t0 = time.perf_counter()
-    model = initial_solution(sample, max_init, child)
-    eng = Engine(model)
-    _post_opt(eng, FitConfig.post_opt_passes)
-    _gbum(eng)
-    _post_opt(eng, FitConfig.post_opt_passes)
+    t0 = lap = time.perf_counter()
+    phases = []
+
+    def log(phase, passes=0, moves=0, converged=True, merges=0):
+        nonlocal lap
+        now = time.perf_counter()
+        phases.append(PhaseLog(phase, passes, moves, merges, converged,
+                               eng.sides["source"].k, eng.sides["target"].k, now - lap))
+        lap = now
+
+    eng = Engine(initial_solution(sample, max_init, child))
+    log("start")
+    log("pre-opt", *_post_opt(eng, FitConfig.post_opt_passes))
+    log("merges", merges=_gbum(eng))
+    log("post-opt", *_post_opt(eng, FitConfig.post_opt_passes))
     total = eng.criterion_total()
-    return (model.k_source, model.k_target), eng.assignments(), total, time.perf_counter() - t0
+    return phases, eng.assignments(), total, time.perf_counter() - t0
 
 
 def _initial_clusters(sample) -> int:
@@ -356,7 +395,8 @@ def vns_fit(sample, config: FitConfig | None = None) -> FitResult:
     child.  On a sample of at least `POOL_MIN_CELLS` cells they run on up
     to min(rounds, usable cores) forked worker processes, which all end
     before the call returns; the result is the same, byte for byte.  A
-    round's `RoundLog.seconds` is its time inside the process that ran it.
+    round's `RoundLog.seconds` is its time inside the process that ran it,
+    and `RoundLog.phases` holds what each of its phases did.
     """
     config = config or FitConfig()
     max_init = _initial_clusters(sample)
@@ -375,17 +415,17 @@ def vns_fit(sample, config: FitConfig | None = None) -> FitResult:
     best_assign = None
     best_total = np.inf
     logs: list[RoundLog] = []
-    for r, ((k_source, k_target), assign, total, seconds) in enumerate(results):
+    for r, (phases, assign, total, seconds) in enumerate(results):
         logs.append(RoundLog(
             round=r,
             seed=config.seed,
-            initial_k_source=k_source,
-            initial_k_target=k_target,
-            # engine cluster ids are compact
-            final_k_source=int(assign[0].max()) + 1,
-            final_k_target=int(assign[1].max()) + 1,
+            initial_k_source=phases[0].k_source,
+            initial_k_target=phases[0].k_target,
+            final_k_source=phases[-1].k_source,
+            final_k_target=phases[-1].k_target,
             criterion=total,
             seconds=seconds,
+            phases=phases,
         ))
         if total < best_total:
             best_total = total

@@ -150,6 +150,9 @@ def test_fit_summary_and_model(tmp_path, capsys):
     assert doc["seed"] == 7
     assert doc["format_version"] == 1
     assert len(doc["fit_log"]) == 5
+    # phase records and wall times stay out of the model file
+    keys = {"round", "seed", "initial_k_source", "initial_k_target", "final_k_source", "final_k_target", "criterion"}
+    assert all(entry.keys() == keys for entry in doc["fit_log"])
     assert doc["criterion"]["total"] > 0
 
 

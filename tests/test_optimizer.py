@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -533,6 +534,53 @@ def test_vns_fit_golden_model(m):
     assert digest == GOLDEN_FITS[m], doc["fit_log"]
 
 
+# -- phase records ----------------------------------------------------------------
+
+
+def test_post_opt_counts_the_passes_and_moves_of_its_sweeps(block_sample):
+    model = initial_solution(block_sample, 64, seed=2)
+    mirror = Engine(model)
+    sweeps = []
+    while not sweeps or sum(sweeps[-1]):
+        sweeps.append((_sweep(mirror, "source"), _sweep(mirror, "target")))
+    assert len(sweeps) > 2
+    moves = sum(map(sum, sweeps))
+    # converged: the last pass moved nothing, whatever the cap above it
+    assert _post_opt(Engine(model), len(sweeps)) == (len(sweeps), moves, True)
+    assert _post_opt(Engine(model), len(sweeps) + 5) == (len(sweeps), moves, True)
+    # stopped at its cap while vertices still moved
+    assert _post_opt(Engine(model), len(sweeps) - 1) == (len(sweeps) - 1, moves, False)
+    assert _post_opt(Engine(model), 1) == (1, sum(sweeps[0]), False)
+
+
+@pytest.mark.parametrize("family, m", [("golden", m) for m in sorted(GOLDEN_FITS)] + [("block", 3000)])
+def test_phase_records_account_for_each_round(family, m):
+    if family == "golden":
+        sample, _ = gen_block_diagonal(300, 4, 0.5, m=m, seed=3)
+        config = FitConfig(rounds=2, seed=1)
+    else:
+        sample, _ = gen_block_diagonal(100, 10, 0.1, m=m, seed=0)
+        config = FitConfig(rounds=4, seed=0)
+    cap = FitConfig.post_opt_passes
+    for r in vns_fit(sample, config).rounds:
+        start, pre, merges, post = r.phases
+        assert [p.phase for p in r.phases] == ["start", "pre-opt", "merges", "post-opt"]
+        for before, after in zip(r.phases, r.phases[1:]):
+            assert after.k_source <= before.k_source and after.k_target <= before.k_target
+        assert (start.k_source, start.k_target) == (r.initial_k_source, r.initial_k_target)
+        assert (post.k_source, post.k_target) == (r.final_k_source, r.final_k_target)
+        assert (start.passes, start.moves, start.merges, start.converged) == (0, 0, 0, True)
+        assert (merges.passes, merges.moves, merges.converged) == (0, 0, True)
+        assert merges.merges == pre.k_source + pre.k_target - merges.k_source - merges.k_target
+        for p in (pre, post):
+            assert 1 <= p.passes <= cap and p.merges == 0
+            assert p.converged or p.passes == cap
+        assert all(p.seconds >= 0.0 for p in r.phases)
+        assert sum(p.seconds for p in r.phases) <= r.seconds + 1e-9
+        # the records leave `to_dict` as plain, JSON-ready dicts
+        assert json.loads(json.dumps(r.to_dict()))["phases"] == [dataclasses.asdict(p) for p in r.phases]
+
+
 # -- rounds on worker processes ---------------------------------------------------
 
 
@@ -585,7 +633,13 @@ def test_pool_and_in_process_rounds_give_the_same_fit(monkeypatch, pool_count, f
     assert len(pool_count) == 1
     assert pooled.to_dict() == alone.to_dict()
     assert [r.criterion for r in pooled.rounds] == [r.criterion for r in alone.rounds]
+    assert phase_records(pooled) == phase_records(alone)
     assert multiprocessing.active_children() == []
+
+
+def phase_records(fit):
+    """Each round's phase records, seconds aside."""
+    return [[dataclasses.replace(p, seconds=0.0) for p in r.phases] for r in fit.rounds]
 
 
 def round_failing_in_worker(sample, max_init, child):
