@@ -12,6 +12,7 @@ any other exception, an internal error reported in one line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -40,13 +41,19 @@ EXIT_INTERNAL = 5
 EXIT_CODES = ((AuditError, EXIT_AUDIT), (ValueError, EXIT_INPUT), (OSError, EXIT_IO))
 
 
-def _read_file(path: str, binary: bool = False) -> str | bytes:
-    """The file's text, decoded as UTF-8; its bytes if `binary`."""
+@contextlib.contextmanager
+def _reading(path: str):
+    """Name `path` in an OSError that the block raises."""
     try:
-        with open(path, "rb") if binary else open(path, encoding="utf-8") as fh:
-            return fh.read()
+        yield
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_file(path: str) -> str:
+    """The file's text, decoded as UTF-8."""
+    with _reading(path), open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _write_text(path: str, text: str):
@@ -69,14 +76,20 @@ def _read_vocabulary(path: str | None):
 
 
 def _load_sample(args, vocabulary=None, target_vocabulary=None, unify=None):
-    # the parser reads UTF-8 bytes; it decodes non-ASCII bytes only to check them
-    return parse_edge_list(
-        _read_file(args.edges, binary=True),
-        unify=unify if unify is not None else getattr(args, "unify_vertices", False),
-        undirected=getattr(args, "undirected", False),
-        vocabulary=vocabulary if vocabulary is not None else _read_vocabulary(getattr(args, "vocabulary", None)),
-        target_vocabulary=target_vocabulary,
-    )
+    with _reading(args.edges):
+        edges = open(args.edges, "rb")
+    with edges:
+        if vocabulary is None:
+            vocabulary = _read_vocabulary(getattr(args, "vocabulary", None))
+        # the parser reads the file's bytes in place; it decodes non-ASCII bytes only to check them
+        with _reading(args.edges):
+            return parse_edge_list(
+                edges,
+                unify=unify if unify is not None else getattr(args, "unify_vertices", False),
+                undirected=getattr(args, "undirected", False),
+                vocabulary=vocabulary,
+                target_vocabulary=target_vocabulary,
+            )
 
 
 def _load_model(args):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
+import stat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -185,6 +187,8 @@ _ZERO = np.uint8(ord("0"))
 _HASH_MULTIPLIER = np.int64(0x9E3779B97F4A7C15 - 2**64)
 # the fewest keys that `_number` hashes: below about 2,000 the argsort costs less than the hash's extra passes
 _HASH_MIN_KEYS = 4096
+# the keys that `_look_up` takes at a time, so that its buffers stay in cache
+_LOOKUP_CHUNK = 1 << 15
 # what the byte rules make of a line: left to Python, skipped, a data line, a data line with a count to read
 _OPEN, _SKIP, _DATA, _COUNT = range(4)
 
@@ -204,31 +208,76 @@ def _rule_table(sep: int) -> np.ndarray:
 _RULES = {sep: _rule_table(sep) for sep in (_NEWLINE, _FF)}
 
 
-def _text_bytes(data) -> tuple[bytes, int]:
-    """The input's lines as UTF-8 bytes, each but perhaps the last ended by one separator byte, and that byte.
+def _padded(length: int) -> bytearray:
+    """A zeroed buffer for a text of `length` bytes at [_PAD:_PAD + length],
+    with room after it for one separator byte and the pad."""
+    return bytearray(_PAD + length + 1 + _PAD)
 
-    Bytes that hold no other line separator than "\n" are returned as they
+
+def _read(file):
+    """What `file.read()` returns; but a regular binary file's bytes are read
+    in place into a `_padded` buffer, so they are never copied."""
+    if not hasattr(file, "readinto"):
+        return file.read()
+    try:
+        status, start = os.fstat(file.fileno()), file.tell()
+    except OSError:  # no file descriptor, as in io.BytesIO
+        return file.read()
+    if not stat.S_ISREG(status.st_mode):
+        return file.read()
+    size = max(status.st_size - start, 0)
+    buf = _padded(size)
+    with memoryview(buf) as view:
+        got = file.readinto(view[_PAD:_PAD + size + 1])  # one byte more shows a file that grew
+        if got > size:
+            return bytes(view[_PAD:_PAD + got]) + file.read()
+    del buf[_PAD + got:_PAD + size]  # a file that shrank
+    return buf
+
+
+def _text_buffer(data) -> tuple[bytearray, int, int]:
+    """The input's lines as UTF-8 bytes at buf[_PAD:end] of a `_padded`
+    buffer, each ended by one separator byte; `end` and that byte, which
+    buf[_PAD - 1] holds too.
+
+    Bytes that hold no other line separator than "\n" are taken as they
     are.  ASCII bytes are checked with byte scans; other bytes are decoded,
     which checks that they are UTF-8.
     """
+    buf = None
     if hasattr(data, "read"):
-        data = data.read()
-    if isinstance(data, bytes) and data.isascii():
-        if not any(sep in data for sep in _ASCII_SEPARATORS):
-            return data, _NEWLINE
-        data = data.decode("ascii")
-    elif isinstance(data, bytes):
-        text = data.decode("utf-8")  # a UnicodeDecodeError, a ValueError, on invalid UTF-8
-        if not any(sep in text for sep in _OTHER_SEPARATORS):
-            return data, _NEWLINE
-        data = text
+        data = _read(data)
+        if isinstance(data, bytearray):  # read in place, between zeroed pads: ASCII, and no separator
+            buf = data
+    if buf is not None or isinstance(data, bytes):
+        text = data if buf is None else memoryview(buf)[_PAD:len(buf) - _PAD - 1]
+        if data.isascii():
+            if any(sep in data for sep in _ASCII_SEPARATORS):
+                data = str(text, "ascii")
+        else:
+            decoded = str(text, "utf-8")  # a UnicodeDecodeError, a ValueError, on invalid UTF-8
+            if any(sep in decoded for sep in _OTHER_SEPARATORS):
+                data = decoded
+        del text
+    sep = _NEWLINE
     if isinstance(data, str):
         if any(sep in data for sep in _OTHER_SEPARATORS):
             data = "\n".join(data.splitlines())
-        return data.encode("utf-8", "surrogatepass"), _NEWLINE
-    # each item of an iterable is one line, whatever separators it holds
-    lines = (str(line).rstrip("\n").encode("utf-8", "surrogatepass") + b"\xff" for line in data)
-    return b"".join(lines), _FF
+        data = data.encode("utf-8", "surrogatepass")
+    elif data is not buf and not isinstance(data, bytes):
+        # each item of an iterable is one line, whatever separators it holds
+        data = b"".join(str(line).rstrip("\n").encode("utf-8", "surrogatepass") + b"\xff" for line in data)
+        sep = _FF
+    if data is not buf:
+        buf = _padded(len(data))
+        buf[_PAD:_PAD + len(data)] = data
+    del data
+    end = len(buf) - _PAD - 1
+    buf[_PAD - 1] = sep
+    if end > _PAD and buf[end - 1] != sep:
+        buf[end] = sep
+        end += 1
+    return buf, end, sep
 
 
 def _line_count(line: str, lineno: int, header: bool) -> int | None:
@@ -340,7 +389,8 @@ def _field_keys(buf: bytes, before: np.ndarray, after: np.ndarray, table: dict[b
     long = None
     if length.size and length.max() > 8:
         long = (length > 8).nonzero()
-        long_keys = [table.setdefault(buf[b + 1:b + 1 + n], len(table)) << 8 | 0xFE
+        view = memoryview(buf)  # a slice of it is copied once, to the bytes of a dict key
+        long_keys = [table.setdefault(bytes(view[b + 1:b + 1 + n]), len(table)) << 8 | 0xFE
                      for b, n in zip(before[long].tolist(), length[long].tolist())]
     # -1 << 8r keeps the low r bytes of a word and sets the others; a shift of 64 or more gives 0
     length <<= 3
@@ -348,6 +398,14 @@ def _field_keys(buf: bytes, before: np.ndarray, after: np.ndarray, table: dict[b
     if long is not None:
         keys[long] = long_keys
     return keys
+
+
+def _vocabulary_keys(labels: list[str], table: dict[bytes, int]) -> np.ndarray:
+    """The `_field_keys` of the labels, laid out as fields of one padded buffer."""
+    encoded = [label.encode("utf-8", "surrogatepass") for label in labels]
+    end = np.array([*itertools.accumulate(map(len, encoded), initial=_PAD)])
+    buf = b"".join([bytes(_PAD), *encoded, bytes(_PAD)])
+    return _field_keys(buf, end[:-1] - 1, end[1:], table)
 
 
 def _label_text(keys: np.ndarray, long_labels: list[bytes]) -> list[str]:
@@ -391,14 +449,15 @@ def _number(keys: np.ndarray, size0: int) -> tuple[np.ndarray, np.ndarray, int]:
     order in which their keys first appear in it.  Returns each field's
     vertex, each vertex's key as uint64 (those of the first stream first)
     and the first stream's vertex count.  The vertices are written over
-    `keys`, which keeps the peak low.
+    `keys`, which keeps the peak low.  `parse_edge_list` passes only the
+    fields that no vocabulary names, so a stream may hold no keys.
 
     With at least `_HASH_MIN_KEYS` keys, one sort of their packed hashes
     orders them (`_hash_order`); with fewer, or if two keys share a hash,
     each stream is argsorted.
     """
     n = len(keys)
-    hashed = _hash_order(keys, size0) if n >= _HASH_MIN_KEYS else None
+    hashed = _hash_order(keys, size0) if n >= max(_HASH_MIN_KEYS, 1) else None
     if hashed is not None:
         order, sorted_keys, new = hashed
     else:
@@ -407,7 +466,7 @@ def _number(keys: np.ndarray, size0: int) -> tuple[np.ndarray, np.ndarray, int]:
             order = np.concatenate([order, keys[size0:].argsort() + size0])
         sorted_keys = keys[order]
         new = np.empty(n, dtype=bool)  # where a run of equal keys starts
-        new[0] = True
+        new[:1] = True  # no keys when a vocabulary names every field
         np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
         if size0 < n:
             new[size0] = True
@@ -426,6 +485,91 @@ def _number(keys: np.ndarray, size0: int) -> tuple[np.ndarray, np.ndarray, int]:
     n0 = int(first_sorted.searchsorted(size0))
     vertex[size0:] -= n0
     return vertex, vertex_key, n0
+
+
+def _home_slots(keys: np.ndarray, bits: int, out: np.ndarray) -> np.ndarray:
+    """Each key's home slot among 2^bits, written to `out`: the high bits of
+    the key mixed by x ^ (x >> 29), times `_HASH_MULTIPLIER`.
+
+    The mix folds a key's high bytes into its low ones before the multiply;
+    without it, a fifth of the explore fields miss their home slot, as the
+    0xFF padding of short labels fills the same high bytes.
+    """
+    mixed = out.view(np.uint64)
+    np.right_shift(keys.view(np.uint64), 29, out=mixed)
+    mixed ^= keys.view(np.uint64)
+    out *= _HASH_MULTIPLIER  # wraps, as a hash should
+    mixed >>= 64 - bits
+    return out
+
+
+def _vocabulary_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """An open-addressing table of distinct keys: each slot's key, its
+    vertex (the key's index, -1 at an empty slot) and the slot bits.
+
+    A key lies in the first slot from its home slot on that no key took
+    before it, so a lookup that probes on from the home slot finds it before
+    any empty slot.  An empty slot holds keys[0], which a lookup therefore
+    never meets there: whatever key meets an empty slot differs from it.
+    """
+    bits = len(keys).bit_length() + 4  # 16 to 32 slots per key
+    mask = (1 << bits) - 1
+    table_keys = np.full(mask + 1, keys[0])
+    table_vertex = np.full(mask + 1, -1)
+    slot = _home_slots(keys, bits, np.empty_like(keys))
+    todo = np.arange(len(keys))
+    while len(todo):
+        free = table_vertex[slot] < 0
+        # of the keys that want one free slot, the one written last takes it
+        table_vertex[slot[free]] = todo[free]
+        took = table_vertex[slot] == todo
+        table_keys[slot[took]] = keys[todo[took]]
+        left = ~took
+        todo, slot = todo[left], (slot[left] + 1) & mask
+    return table_keys, table_vertex, bits
+
+
+def _look_up(keys: np.ndarray, table: tuple[np.ndarray, np.ndarray, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Write the vertex of each key in `table` over `keys`, and -1 over the
+    others; returns the positions of the others, in order, and their keys.
+
+    Keys are compared whole, so two keys that share a slot never share a
+    vertex.  The home slots are looked up a chunk at a time, in buffers
+    reused across chunks; the few keys whose home slot holds another key
+    probe on together.
+    """
+    table_keys, table_vertex, bits = table
+    n = len(keys)
+    chunk = min(n, _LOOKUP_CHUNK)
+    slot_buf, got_buf = np.empty(chunk, dtype=np.int64), np.empty(chunk, dtype=np.int64)
+    wrong_buf = np.empty(chunk, dtype=bool)
+    pos = wrong_keys = wrong_slots = np.empty(0, dtype=np.int64)
+    parts = []  # (positions, keys, home slots) of each chunk's keys not at their home slot
+    for lo in range(0, n, chunk):
+        part = keys[lo:lo + chunk]
+        size = len(part)
+        slot = _home_slots(part, bits, slot_buf[:size])
+        got = table_keys.take(slot, out=got_buf[:size], mode="clip")  # "clip": unbuffered
+        wrong = np.not_equal(got, part, out=wrong_buf[:size]).nonzero()[0]
+        if len(wrong):
+            parts.append((wrong + lo, part[wrong], slot[wrong]))
+        table_vertex.take(slot, out=part, mode="clip")
+    if parts:
+        pos, wrong_keys, wrong_slots = (np.concatenate(p) for p in zip(*parts))
+        keys[pos] = -1
+    # the keys whose home slot holds another key probe on to the next slots
+    probing = (table_vertex[wrong_slots] >= 0).nonzero()[0]
+    slot = wrong_slots[probing]
+    while len(probing):
+        slot += 1
+        slot &= len(table_keys) - 1
+        hit = table_keys[slot] == wrong_keys[probing]
+        keys[pos[probing[hit]]] = table_vertex[slot[hit]]
+        on = ~hit
+        on &= table_vertex[slot] >= 0
+        probing, slot = probing[on], slot[on]
+    missing = keys[pos] < 0
+    return pos[missing], wrong_keys[missing]
 
 
 def parse_edge_list(
@@ -454,29 +598,29 @@ def parse_edge_list(
     zero-degree vertices participate in the partitions.  Vertex ids follow
     the vocabulary, then the first appearance of each new label.
 
-    The text is read as one byte buffer: whole-array passes find the tabs
-    and line ends, read counts of up to 18 digits and number the labels.
-    Bytes input is not decoded if it is ASCII, only scanned for line
-    separators, and a large file is numbered by one sort of hashed keys.
+    The text is read as one byte buffer, a regular binary file in place:
+    whole-array passes find the tabs and line ends, read counts of up to 18
+    digits and number the labels.  Bytes input is not decoded if it is
+    ASCII, only scanned for line separators.  Each field of a stream with a
+    vocabulary is looked up in a hash table of the vocabulary's keys; the
+    fields not found, and every field of a stream without one, are
+    numbered by a sort, of hashed keys for a large file.
     Python checks only the lines those byte rules leave open: lines that
     start with whitespace, a control or non-ASCII byte or `#`, the rows
     before the first data line and that line if it starts as a header
     does, and lines with another count or number of columns.
     """
-    vocab_s = vocab_t = []
+    # each stream's distinct vocabulary labels: the sources', then the targets' unless unified
+    vocabs = [[]] if unify else [[], []]
     if vocabulary is not None:
-        vocab_s = list(vocabulary)
-        vocab_t = [] if unify or target_vocabulary is None else list(target_vocabulary)
-    vocab_bytes = [label.encode("utf-8", "surrogatepass") for label in vocab_s + vocab_t]
-    vocab_end = np.array([*itertools.accumulate(map(len, vocab_bytes), initial=_PAD)])
-    raw, sep = _text_bytes(data)
-    tail = bytes([sep]) if raw and raw[-1] != sep else b""
-    # the vocabulary, then the lines after a separator that ends no line
-    pad = b"\xff" * _PAD
-    buf = b"".join([pad, *vocab_bytes, bytes([sep]), raw, tail, pad])
-    del raw, vocab_bytes
+        vocabs[0] = list(dict.fromkeys(vocabulary))
+        if not unify and target_vocabulary is not None:
+            vocabs[1] = list(dict.fromkeys(target_vocabulary))
+    long_table: dict[bytes, int] = {}
+    tables = [_vocabulary_table(_vocabulary_keys(labels, long_table)) if labels else None for labels in vocabs]
+    buf, end, sep = _text_buffer(data)
     u8 = np.frombuffer(buf, dtype=np.uint8)
-    before, after, ends, n_tabs = _line_spans(u8, int(vocab_end[-1]), len(buf) - _PAD, sep)
+    before, after, ends, n_tabs = _line_spans(u8, _PAD - 1, end, sep)
 
     # the byte rules: a line is skipped, or settled as a data line, or left open
     code = _RULES[sep][u8[1:][before[:, 0]], np.minimum(n_tabs, 3)]
@@ -521,35 +665,47 @@ def parse_edge_list(
         before, after, counts = before[rows], after[rows], counts[rows]
     del code, rows, ends
 
-    long_table: dict[bytes, int] = {}
-    vocab_keys = vocab_end[:0]
-    if len(vocab_end) > 1:
-        vocab_keys = _field_keys(buf, vocab_end[:-1] - 1, vocab_end[1:], long_table)
     field_keys = _field_keys(buf, before, after, long_table)
     del before, after, buf, u8
-    n_vs = len(vocab_s)
-    # the keys laid out as the streams in which labels first appear: a
-    # stream's vocabulary, then its fields line by line
+    # the streams in which labels first appear: the fields line by line, or
+    # each column; undirected, the targets' stream takes each line reversed
     if unify:
-        keys = np.concatenate([vocab_keys, field_keys.ravel()])
+        streams = [field_keys.ravel()]
     elif undirected:
-        keys = np.concatenate([vocab_keys[:n_vs], field_keys.ravel(), vocab_keys[n_vs:],
-                               field_keys[:, ::-1].ravel()])
+        streams = [field_keys.ravel(), field_keys[:, ::-1].ravel()]
     else:
-        keys = np.concatenate([vocab_keys[:n_vs], field_keys[:, 0], vocab_keys[n_vs:], field_keys[:, 1]])
+        streams = [field_keys[:, 0], field_keys[:, 1]]
     del field_keys
-    size0 = n_vs + (2 if unify or undirected else 1) * n
-    vertex, vertex_key, n_source = _number(keys, size0)
+    # a stream's fields found in its vocabulary take their vertex in place;
+    # the others, and every field of a stream without a vocabulary, are
+    # numbered by first appearance, after the vocabulary's vertices
+    positions, new_keys = [], []
+    for i, table in enumerate(tables):
+        pos, keys = _look_up(streams[i], table) if table is not None else (None, streams[i])
+        positions.append(pos)
+        new_keys.append(keys)
+        if pos is None:
+            streams[i] = None  # numbered from its copy in new_keys alone, which keeps the peak low
     del keys
+    size0 = len(new_keys[0])
+    new_keys = np.concatenate(new_keys)
+    vertex, vertex_key, n0 = _number(new_keys, size0)
+    del new_keys
+    vertices = []
+    for keys, pos, vocab, new_vertex in zip(streams, positions, vocabs, (vertex[:size0], vertex[size0:])):
+        if pos is not None:
+            keys[pos] = new_vertex + len(vocab)
+            new_vertex = keys
+        vertices.append(new_vertex)
     long_labels = list(long_table)
-    source_labels = _label_text(vertex_key[:n_source], long_labels)
-    target_labels = source_labels if unify else _label_text(vertex_key[n_source:], long_labels)
-
-    src = vertex[n_vs:size0]
+    labels = [vocab + _label_text(new_key, long_labels)
+              for vocab, new_key in zip(vocabs, (vertex_key[:n0], vertex_key[n0:]))]
     if unify:
+        (src,) = vertices
         src, tgt = (src, src.reshape(n, 2)[:, ::-1].ravel()) if undirected else (src[0::2], src[1::2])
+        labels *= 2
     else:
-        tgt = vertex[size0 + len(vocab_t):]
+        src, tgt = vertices
     if undirected:
         counts = counts.repeat(2)
-    return MultigraphSample(source_labels, target_labels, (src, tgt, counts), unified=unify)
+    return MultigraphSample(*labels, (src, tgt, counts), unified=unify)

@@ -327,6 +327,29 @@ def test_malformed_model_file_exit_2(tmp_path, capsys, case, command):
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("case", ["label absent from the model", "repeated model label"])
+def test_model_labels_that_do_not_match_the_sample_exit_2(tmp_path, capsys, case):
+    prefix, model_path, _ = gen_and_fit(tmp_path, capsys)
+    model = json.load(open(model_path))
+    labels = model["source_labels"]
+    edges, argv = prefix + ".tsv", ["evaluate"]
+    if case == "label absent from the model":
+        edges = str(tmp_path / "absent.tsv")
+        with open(edges, "w") as fh:
+            fh.write(open(prefix + ".tsv").read() + f"absent\t{labels[0]}\n")
+    else:
+        # the edge file numbers a repeated label once, so the sample has one label fewer
+        model["source_labels"] = labels[:2] + labels[1:]
+        model_path = str(tmp_path / "repeated.json")
+        with open(model_path, "w") as fh:
+            json.dump(model, fh)
+        argv = ["coarsen"]
+    extra = ["--clusters", "1,1"] if argv == ["coarsen"] else []
+    code, _, err = run(capsys, *argv, model_path, edges, *extra)
+    assert code == 2
+    assert err == "error: model labels do not match the sample\n"
+
+
 def test_density_cell_and_full(tmp_path, capsys):
     prefix, model_path, _ = gen_and_fit(tmp_path, capsys)
     code, out, _ = run(capsys, "density", model_path, prefix + ".tsv",

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import random
+import tempfile
 import warnings
 from unittest import mock
 
@@ -272,7 +274,7 @@ def test_edges_derived_on_first_read():
 # labels that start with whitespace, a control byte or a non-ASCII byte, hold
 # a NUL (which pads no key), or are longer than 8 bytes and share a prefix
 LABELS = ["a", "b", "a b", " c", "d ", "source", "Target", "x y", "\xa0a", "a\x00", "é", "abcdefgh",
-          "abcdefgh9", "abcdefgh9abcdefgh_20"]
+          "abcdefgh9", "abcdefgh9abcdefgh_20", "\xe9abcdef", "\xe9abcdefg"]
 # a target may start with "#"; as a source it makes the line a comment
 TARGETS = LABELS + ["#a"]
 # mostly valid counts, so that most texts parse; the others are rejected, or
@@ -281,6 +283,16 @@ COUNTS = ["1", "2", " 3", "+2", "12", "007", "1_0", "\u0663"] * 5 + [
     "0", "-1", "x", "", "9223372036854775807", "9223372036854775808", "99999999999999999999"]
 BLANKS = ["", "  ", "\t", " \t "]
 HEADERS = ["source\ttarget", "Source\tTarget\tCount", " source \t TARGET ", "source\ttarget\tcount"]
+# every label that a drawn line can hold, a header row read as data included
+EVERY_LABEL = sorted(set(TARGETS).union(*(row.split("\t") for row in HEADERS)))
+
+
+def vocabularies(others):
+    """None; a few labels, some in the lines and some (`others`) not; or every
+    label the lines can hold and `others`, shuffled; each may repeat labels."""
+    every = st.lists(st.sampled_from(EVERY_LABEL), max_size=3).flatmap(
+        lambda repeats: st.permutations(EVERY_LABEL + others + repeats))
+    return st.none() | st.lists(st.sampled_from(LABELS + others), max_size=5) | every
 
 
 @st.composite
@@ -315,19 +327,25 @@ def _as_input(lines, form, newline):
         return io.StringIO(text)
     if form == "bytes file":
         return io.BytesIO(text.encode("utf-8"))
+    if form == "disk file":
+        # a binary file on disk, read from past a first line that is not part of the input
+        file = tempfile.TemporaryFile()
+        file.write(b"skipped\n" + text.encode("utf-8"))
+        file.seek(len(b"skipped\n"))
+        return file
     return iter([line + "\n" for line in lines])
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(
     lines=edge_list_lines(),
-    form=st.sampled_from(["str", "bytes", "text file", "bytes file", "iterable"]),
+    form=st.sampled_from(["str", "bytes", "text file", "bytes file", "disk file", "iterable"]),
     newline=st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                              "\u2029"]),
     unify=st.booleans(),
     undirected=st.booleans(),
-    vocabulary=st.none() | st.lists(st.sampled_from(LABELS + ["z", "w"]), max_size=5),
-    target_vocabulary=st.none() | st.lists(st.sampled_from(LABELS + ["y"]), max_size=5),
+    vocabulary=vocabularies(["z", "w"]),
+    target_vocabulary=vocabularies(["y"]),
 )
 def test_parser_matches_dict_oracle(lines, form, newline, unify, undirected, vocabulary,
                                     target_vocabulary):
@@ -337,14 +355,19 @@ def test_parser_matches_dict_oracle(lines, form, newline, unify, undirected, voc
 
 def assert_matches_oracle(make_input, **options):
     """`parse_edge_list` and the dict oracle give the same sample, or the same error message."""
+    def parse(parser):
+        data = make_input()
+        with data if hasattr(data, "read") else contextlib.nullcontext():
+            return parser(data, **options)
+
     try:
-        expect = dict_parse_edge_list(make_input(), **options)
+        expect = parse(dict_parse_edge_list)
     except DictEdgeListError as exc:
         with pytest.raises(EdgeListError) as got:
-            parse_edge_list(make_input(), **options)
+            parse(parse_edge_list)
         assert str(got.value) == str(exc)
         return
-    sample = parse_edge_list(make_input(), **options)
+    sample = parse(parse_edge_list)
     assert sample.source_labels == expect.source_labels
     assert sample.target_labels == expect.target_labels
     assert sample.unified == expect.unified
@@ -366,18 +389,21 @@ def test_every_line_separator_splits_lines(newline, form):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(
     lines=edge_list_lines(),
-    form=st.sampled_from(["str", "bytes", "iterable"]),
+    form=st.sampled_from(["str", "bytes", "disk file", "iterable"]),
     unify=st.booleans(),
     undirected=st.booleans(),
-    vocabulary=st.none() | st.lists(st.sampled_from(LABELS + ["z", "w"]), max_size=5),
-    target_vocabulary=st.none() | st.lists(st.sampled_from(LABELS + ["y"]), max_size=5),
+    vocabulary=vocabularies(["z", "w"]),
+    target_vocabulary=vocabularies(["y"]),
     collide=st.booleans(),
+    chunk=st.integers(1, 8),
 )
 def test_hashed_numbering_matches_the_oracle(lines, form, unify, undirected, vocabulary, target_vocabulary,
-                                             collide):
-    # every input numbered by the hashed sort; with a zero multiplier every
-    # key hashes alike, so any stream with two labels falls back to argsort
-    with mock.patch.object(graph, "_HASH_MIN_KEYS", 0), \
+                                             collide, chunk):
+    # every input numbered by the hashed sort, and looked up in its
+    # vocabulary a few fields at a time; with a zero multiplier every key
+    # hashes alike, so any stream with two labels falls back to argsort, and
+    # every vocabulary key lies in the probe chain of slot 0
+    with mock.patch.object(graph, "_HASH_MIN_KEYS", 0), mock.patch.object(graph, "_LOOKUP_CHUNK", chunk), \
             mock.patch.object(graph, "_HASH_MULTIPLIER", np.int64(0 if collide else graph._HASH_MULTIPLIER)):
         assert_matches_oracle(lambda: _as_input(lines, form, "\n"), unify=unify, undirected=undirected,
                               vocabulary=vocabulary, target_vocabulary=target_vocabulary)
@@ -396,6 +422,32 @@ def test_hash_collisions_fall_back_to_argsort():
     with mock.patch.object(graph, "_HASH_MULTIPLIER", np.int64(0)):
         order, sorted_keys, new = graph._hash_order(np.array([3, 3, 3], dtype=np.int64), 2)
     assert order.tolist() == [0, 1, 2] and new.tolist() == [True, False, True]
+    # keys that share a home slot take the slots after it, wrapping past the
+    # last, and a lookup probes on to them; an empty slot ends the probe of a
+    # key not in the table
+    vocabulary = np.array([9, -1, 5, 2**40], dtype=np.int64)
+    fields = np.array([5, 6, 2**40, -1, 9, 0, 5], dtype=np.int64)
+
+    def last_slot(keys, bits, out):
+        out[:] = (1 << bits) - 1
+        return out
+
+    for patch, taken in ((contextlib.nullcontext(), None),
+                         (mock.patch.object(graph, "_HASH_MULTIPLIER", np.int64(0)), [0, 1, 2, 3]),
+                         (mock.patch.object(graph, "_home_slots", last_slot), [0, 1, 2, 127])):
+        with patch:
+            table_keys, table_vertex, bits = graph._vocabulary_table(vocabulary)
+            assert len(table_keys) == 1 << bits > 16 * len(vocabulary)
+            assert sorted(table_vertex[table_vertex >= 0].tolist()) == [0, 1, 2, 3]
+            assert np.array_equal(table_keys[table_vertex >= 0], vocabulary[table_vertex[table_vertex >= 0]])
+            if taken is not None:
+                assert (table_vertex >= 0).nonzero()[0].tolist() == taken
+            for chunk in (1, 3, 100):
+                looked_up = fields.copy()
+                with mock.patch.object(graph, "_LOOKUP_CHUNK", chunk):
+                    pos, missing = graph._look_up(looked_up, (table_keys, table_vertex, bits))
+                assert looked_up.tolist() == [2, -1, 3, 1, 0, -1, 2]
+                assert (pos.tolist(), missing.tolist()) == ([1, 5], [6, 0])
 
 
 @pytest.mark.parametrize("shape", ["regular", "irregular"])
@@ -418,6 +470,24 @@ def test_large_inputs_match_the_oracle(shape):
         for undirected in (False, True):
             assert_matches_oracle(lambda: text.encode(), unify=unify, undirected=undirected,
                                   vocabulary=labels[::-3], target_vocabulary=labels[5:50])
+            # vocabularies that name every label, with repeats, looked up a chunk at a time from the file on disk
+            with mock.patch.object(graph, "_LOOKUP_CHUNK", 1000):
+                assert_matches_oracle(lambda: _as_input(lines, "disk file", "\n"), unify=unify,
+                                      undirected=undirected, vocabulary=labels[::-1] + labels[:9],
+                                      target_vocabulary=labels[7:] + labels[:7] + labels[3:5])
+
+
+@pytest.mark.parametrize("change", [-5, 5, -10**6])
+def test_a_file_that_changes_size_while_it_is_read_is_read_whole(change):
+    # the file's size as `os.fstat` reads it before the read: shrunk, grown, or gone
+    real_fstat = graph.os.fstat
+
+    def fstat(fd):
+        status = real_fstat(fd)
+        return graph.os.stat_result(tuple(status)[:6] + (max(status.st_size + change, 0),) + tuple(status)[7:10])
+
+    with mock.patch.object(graph.os, "fstat", fstat):
+        assert_matches_oracle(lambda: _as_input(["a\tb", "c\td\t2", "abcdefgh9\ta"], "disk file", "\n"))
 
 
 # lines that Python settles, each after a data line: blank or comment once

@@ -148,6 +148,9 @@ FAILURES = [
     ("block-diagonal --clusters --intra", ["generate", "block-diagonal", "--clusters", "9", "--intra", "0.5",
                                            "-o", "g"]),
     ("repeated cocluster cells", ["coarsen", "repeated_cells.json", "bd.tsv", "--clusters", "1,1"]),
+    # bd.tsv with a line whose source the model does not name; a model that names a label twice
+    ("label absent from the model", ["evaluate", "model.json", "absent.tsv"]),
+    ("repeated model label", ["coarsen", "repeated_labels.json", "bd.tsv", "--clusters", "1,1"]),
 ]
 
 
@@ -158,7 +161,7 @@ def broken_models(model: dict) -> dict:
         doc[key] = value
         return doc
 
-    assign = model["source_assignment"]
+    assign, labels = model["source_assignment"], model["source_labels"]
     counts = [list(cell) for cell in model["cocluster_counts"]]
     counts[0][2] = 2**70
     # a repeat of the first cell, whose last count is the true one
@@ -181,6 +184,7 @@ def broken_models(model: dict) -> dict:
         "false_counts.json": edit("cocluster_counts", False),
         "blank_counts.json": edit("cocluster_counts", ""),
         "repeated_cells.json": edit("cocluster_counts", repeated),
+        "repeated_labels.json": edit("source_labels", labels[:2] + labels[1:]),
     }
 
 
@@ -219,6 +223,7 @@ def error_paths():
             files = {
                 "four_columns.tsv": "".join(explore_lines),
                 "short.tsv": "".join(lines[:-10]),
+                "absent.tsv": "".join(lines) + "absent\tv0\n",
                 "bad.tsv": "a\tb\tx\n",
                 "bad.json": "{",
                 "huge.tsv": "a\tb\t99999999999999999999999\n",
