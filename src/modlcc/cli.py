@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import itertools
 import json
 import math
 import sys
@@ -62,6 +64,73 @@ def _write_text(path: str, text: str):
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+# the types that json encodes as one token; their exact types, not subclasses
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(item_separator: str):
+    """The C encoder's `encode` with this item separator and `": "` after keys."""
+    return json.JSONEncoder(separators=(item_separator, ": ")).encode
+
+
+def _rows_of_scalars(items):
+    """`list` or `dict` if every item is a non-empty one of that exact type
+    holding only scalars, else None."""
+    kind = type(items[0])
+    if kind not in (list, dict) or {kind} != set(map(type, items)) or kind() in items:
+        return None
+    members = items if kind is list else map(dict.values, items)
+    return kind if _SCALARS.issuperset(map(type, itertools.chain.from_iterable(members))) else None
+
+
+def _indented(value, indent: str) -> str:
+    """`json.dumps(value, indent=2)` for a value nested at `indent`.
+
+    CPython encodes indented JSON in pure Python.  Here the C encoder encodes
+    each list or dict of scalars whole, with `",\\n"` and the next indent as
+    its item separator, and a list of such lists (or of such dicts) whole,
+    with its inner separators rewritten; only the other containers are
+    walked in Python.  Encoded strings escape every newline, so each newline
+    in the C encoder's output is a separator.
+    """
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if _SCALARS.issuperset(map(type, value.values())):
+            body = _encoder(separator)(value)[1:-1]
+        else:
+            # the keys as json writes them, each between two newlines
+            keys = _encoder("\n")(dict.fromkeys(value))[1:-1].split(": null\n")
+            keys[-1] = keys[-1][: -len(": null")]
+            body = separator.join(k + ": " + _indented(v, inner) for k, v in zip(keys, value.values()))
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _SCALARS.issuperset(map(type, value)):
+            body = _encoder(separator)(value)[1:-1]
+        elif (kind := _rows_of_scalars(value)) is not None:
+            opening, closing = "[]" if kind is list else "{}"
+            deeper = inner + "  "
+            flat = _encoder(",\n" + deeper)(value)[2:-2]
+            body = (opening + "\n" + deeper
+                    + flat.replace(closing + ",\n" + deeper + opening,
+                                   "\n" + inner + closing + separator + opening + "\n" + deeper)
+                    + "\n" + inner + closing)
+        else:
+            body = separator.join(_indented(v, inner) for v in value)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return _encoder(separator)(value)
+
+
+def _json_text(doc) -> str:
+    """`json.dumps(doc, indent=2) + "\\n"`, byte for byte, mostly from the C encoder."""
+    return _indented(doc, "") + "\n"
 
 
 def _read_vocabulary(path: str | None):
@@ -153,7 +222,7 @@ def cmd_generate(args) -> int:
     echo["n_source"] = sample.n_source
     echo["n_target"] = sample.n_target
     echo["edges_written"] = sample.m
-    _write_text(prefix + ".spec.json", json.dumps(echo, indent=2) + "\n")
+    _write_text(prefix + ".spec.json", _json_text(echo))
     print(f"wrote {sample.m} edges to {prefix}.tsv ({sample.n_source} vertices)")
     return EXIT_OK
 
@@ -168,7 +237,7 @@ def cmd_fit(args) -> int:
     fit = vns_fit(sample, config)
     elapsed = time.perf_counter() - t0
     doc = fit.to_dict(seed=args.seed)
-    _write_text(args.output, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.output, _json_text(doc))
     mi_full, mi_lh = modl_mi_estimate(fit, sample)
     model = fit.best_model
     print(f"clusters: {model.k_source} x {model.k_target}")
@@ -207,7 +276,7 @@ def cmd_coarsen(args) -> int:
     doc["requested_clusters"] = [ks, kt]
     doc["merge_path"] = dend.to_dict()["merges"]
     if args.output:
-        _write_text(args.output, json.dumps(doc, indent=2) + "\n")
+        _write_text(args.output, _json_text(doc))
     print(f"cut at {cut_model.k_source} x {cut_model.k_target} "
           f"(requested {ks} x {kt}), criterion {cut_model.criterion().total:.6f} nats")
     print(_percentage_table(cut_model))
@@ -265,7 +334,7 @@ def cmd_evaluate(args) -> int:
             doc[key] /= ln2
         doc["units"] = "bits"
     doc["tool_version"] = __version__
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _json_text(doc)
     if args.output:
         _write_text(args.output, text)
     sys.stdout.write(text)

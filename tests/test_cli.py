@@ -1,8 +1,12 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modlcc import _engine, bench, cli
 from modlcc.cli import main
@@ -429,3 +433,54 @@ def test_bench_leaves_the_default_specs_unchanged(capsys):
     assert code == 0, err
     for name in names:
         assert getattr(bench, name) == defaults[name], name
+
+
+# json values: scalars (inf and nan among the floats, non-ASCII among the
+# strings), lists, tuples and dicts of them, nested, empty or not, and the
+# lists of scalar lists and of scalar dicts that the writer encodes whole
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(_JSON_KEYS, inner)
+                   | st.lists(st.lists(_JSON_SCALARS, max_size=4))
+                   | st.lists(st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=3))),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_equals_indented_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], [[]], [{}], [[], [1]], [{}, {"a": 1}], [[1, 2], [3]], [{"a": [1]}, {"b": 2}],
+    {"é": ["ü", "\n", "]", "[", "},\n  {"], "k": [[float("inf"), -float("inf")], [float("nan")]]},
+    [[1, "],\n    ["], ["}"]], (1, (2, 3)), [True, 1, 1.0], "x", 1.5, None,
+])
+def test_json_text_edge_cases(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    script = f"""
+import sys
+from modlcc.cli import main
+prefix = {str(tmp_path / "bd")!r}
+steps = [
+    ["generate", "block-diagonal", "--n", "10", "--blocks", "2", "--m", "300", "-o", prefix],
+    ["fit", prefix + ".tsv", "-o", prefix + ".model.json", "--rounds", "2", "--unify-vertices"],
+    ["coarsen", prefix + ".model.json", prefix + ".tsv", "--clusters", "1,1", "-o", prefix + ".cut.json"],
+    ["evaluate", prefix + ".model.json", prefix + ".tsv", "--modularity"],
+]
+for argv in steps:
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

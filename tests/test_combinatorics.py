@@ -5,6 +5,7 @@ import pytest
 
 from modlcc.combinatorics import (
     CombinatoricsCache,
+    _log_factorials,
     log_binomial,
     log_factorial,
     log_partition_count,
@@ -91,10 +92,63 @@ def test_large_arguments_finite():
 
 def test_cache_growth_preserves_values():
     cache = CombinatoricsCache()
-    before = cache.log_factorial(3)
-    cache.factorial_table(5000)
-    assert cache.log_factorial(3) == before
+    lengths = [len(cache.factorial_table(0))]
+    for n in (3, 1024, 1025, 2100, 9000, 9001):
+        lengths.append(len(cache.factorial_table(n)))
+    # each growth takes max(n + 1, 2 * length) entries
+    assert lengths == [1025, 1025, 1025, 2050, 4100, 9001, 18002]
+    assert cache.factorial_table(0).tobytes() == _log_factorials(0, 18002).tobytes()
     assert cache.log_factorial(100) == pytest.approx(math.log(math.factorial(100)), rel=1e-12)
+
+
+# ln(i!) as scipy.special.gammaln(i + 1) gives it (SciPy 1.17.1), at
+# x = i + 1 on both sides of lgam's bound at x = 13 and around x = 1000,
+# and at x = 40, the largest x where its two Stirling corrections round
+# differently: from x = 41 on they agree, and from x = 1e8 on either is
+# below half an ulp of the sum, so the bits cannot show those two bounds
+PINNED_LOG_FACTORIALS = {
+    0: "0x0.0p+0",
+    1: "0x0.0p+0",
+    11: "0x1.180973f3a8d74p+4",
+    12: "0x1.3fcba16d50143p+4",
+    13: "0x1.68d5a9c3b32cdp+4",
+    39: "0x1.aa86ec2969811p+6",
+    998: "0x1.70a504c9302eep+12",
+    999: "0x1.711386da7cab6p+12",
+    1000: "0x1.71820d04e2eb7p+12",
+    123456: "0x1.433807e136b0dp+20",
+}
+
+
+@pytest.mark.parametrize("i", sorted(PINNED_LOG_FACTORIALS))
+def test_log_factorials_match_pinned_gammaln_values(i):
+    assert float(_log_factorials(i, i + 1)[0]).hex() == PINNED_LOG_FACTORIALS[i]
+    assert float(_log_factorials(0, i + 2)[i]).hex() == PINNED_LOG_FACTORIALS[i]
+
+
+def _gammaln_table(lo, hi):
+    special = pytest.importorskip("scipy.special")
+    return special.gammaln(np.arange(lo, hi, dtype=np.float64) + 1.0)
+
+
+def test_log_factorials_equal_gammaln_bit_for_bit():
+    expected = _gammaln_table(0, 2**22)
+    assert np.array_equal(_log_factorials(0, 2**22).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("lo, hi", [(9, 16), (995, 1006), (10**8 - 500, 10**8 + 501)])
+def test_log_factorials_equal_gammaln_across_branches(lo, hi):
+    expected = _gammaln_table(lo, hi)
+    assert np.array_equal(_log_factorials(lo, hi).view(np.int64), expected.view(np.int64))
+
+
+def test_grown_factorial_table_equals_gammaln():
+    expected = _gammaln_table(0, 70_000)
+    cache = CombinatoricsCache()
+    for n in (5, 2000, 2050, 30_000, 69_999):
+        table = cache.factorial_table(n)
+    assert len(table) == 70_000
+    assert np.array_equal(table.view(np.int64), expected.view(np.int64))
 
 
 def test_partition_row_extension():

@@ -7,9 +7,10 @@ A change that keeps the search and the merge path unchanged prints the same
 digests.  With --check FILE, the lines are compared with FILE instead of
 printed: the run exits 1 and prints a unified diff when any line differs.
 `tools/output_digests.txt` holds the expected lines; only a change meant
-to move outputs records it again.  It was recorded with NumPy 2.4.6 and
-SciPy 1.17.1, and other versions can round a float differently and so
-change a digest.  The outputs are
+to move outputs records it again.  It was recorded with NumPy 2.4.6, and
+its values depend on the C library's `log`, which builds the log-factorial
+table (`modlcc.combinatorics._log_factorials`), not on SciPy; another NumPy
+or C library can round a float differently and so change a digest.  The outputs are
 
 - the ingested sample (its labels, cell arrays, degrees and m) of the
   fit-large and explore edge files, seeds 1-3, parsed from a str with the
