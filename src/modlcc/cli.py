@@ -104,7 +104,7 @@ def _indented(value, indent: str) -> str:
         if _SCALARS.issuperset(map(type, value.values())):
             body = _encoder(separator)(value)[1:-1]
         else:
-            # the keys as json writes them, each between two newlines
+            # the keys as json writes them, from `{k1: null\nk2: null}`
             keys = _encoder("\n")(dict.fromkeys(value))[1:-1].split(": null\n")
             keys[-1] = keys[-1][: -len(": null")]
             body = separator.join(k + ": " + _indented(v, inner) for k, v in zip(keys, value.values()))

@@ -51,8 +51,8 @@ def _log_factorials(lo: int, hi: int) -> np.ndarray:
     plus a correction in p = 1/x^2: a degree-4 polynomial below x = 1000, a
     three-term one up to x = 1e8 and none beyond.  The arithmetic below is
     lgam's, operation for operation, and log x comes from `math.log`, the C
-    library's `log` that lgam calls; `np.log` and `math.lgamma` each differ
-    from it in the last bit on some integers.
+    library's `log` that lgam calls: `np.log` rounds differently on some
+    integers, and so does `math.lgamma` against lgam.
     """
     out = np.empty(hi - lo, dtype=np.float64)
     exact = range(lo, min(hi, 12))
