@@ -137,9 +137,10 @@ def _read_vocabulary(path: str | None):
     if path is None:
         return None
     labels = []
+    # lines are skipped as the edge-list parser skips them, and labels are not stripped, as its fields are not
     for line in _read_file(path).splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
             labels.append(line.split("\t")[0])
     return labels
 
@@ -399,7 +400,9 @@ def _add_ingest_flags(p: argparse.ArgumentParser):
                    help="sources and targets share one vertex space")
     p.add_argument("--undirected", action="store_true",
                    help="ingest each edge in both directions")
-    p.add_argument("--vocabulary", help="file declaring the vertex universe, one label per line")
+    p.add_argument("--vocabulary",
+                   help="file declaring the vertex universe, one label per line (its first tab field, "
+                        "not stripped); without --unify-vertices, the source vertices only")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -185,8 +185,6 @@ _PLACES = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
 _ZERO = np.uint8(ord("0"))
 # an odd multiplier, 2^64 over the golden ratio as an int64, whose products' high bits hash label keys
 _HASH_MULTIPLIER = np.int64(0x9E3779B97F4A7C15 - 2**64)
-# the fewest keys that `_number` hashes: below about 2,000 the argsort costs less than the hash's extra passes
-_HASH_MIN_KEYS = 4096
 # the keys that `_look_up` takes at a time, so that its buffers stay in cache
 _LOOKUP_CHUNK = 1 << 15
 # what the byte rules make of a line: left to Python, skipped, a data line, a data line with a count to read
@@ -414,77 +412,30 @@ def _label_text(keys: np.ndarray, long_labels: list[bytes]) -> list[str]:
             .decode("utf-8", "surrogatepass") for key in keys.tolist()]
 
 
-def _hash_order(keys: np.ndarray, size0: int):
-    """The order, the sorted keys and where each run starts, as `_number`
-    reads them, from one sort of packed (hash, stream, position) words;
-    None when two keys of one stream differ but share a hash.
-
-    The sort groups each stream's entries of one hash in runs, each in
-    position order.  A run is one key's entries only if no key in it
-    differs from the one before, which one pass over the sorted keys checks.
+def _number(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex ids by first appearance: each of a stream of int64 field keys
+    takes the number of distinct keys that first appear before its own.
+    Returns each field's vertex and each vertex's key as uint64.  The
+    vertices are written over `keys`, which may be a strided view, and
+    which keeps the peak low.  `parse_edge_list` passes only the fields
+    that no vocabulary names, so the stream may hold no keys.
     """
-    n = len(keys)
-    bits = (n - 1).bit_length()  # the position bits, below the stream bit
-    packed = keys * _HASH_MULTIPLIER  # wraps, as a hash should
-    packed &= -2 << bits
-    packed[size0:] |= 1 << bits
-    order = np.arange(n)
-    packed |= order
-    packed.sort()
-    np.bitwise_and(packed, (1 << bits) - 1, out=order)
-    packed >>= bits
-    new = np.empty(n, dtype=bool)  # where a run of equal (hash, stream) starts
-    new[0] = True
-    np.not_equal(packed[1:], packed[:-1], out=new[1:])
-    sorted_keys = keys.take(order, out=packed, mode="clip")  # "clip": unbuffered
-    collided = sorted_keys[1:] != sorted_keys[:-1]
-    if np.greater(collided, new[1:], out=collided).any():
-        return None
-    return order, sorted_keys, new
-
-
-def _number(keys: np.ndarray, size0: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vertex ids by first appearance.  keys[:size0] and keys[size0:] are two
-    streams of int64 fields; each numbers its own vertices from 0 in the
-    order in which their keys first appear in it.  Returns each field's
-    vertex, each vertex's key as uint64 (those of the first stream first)
-    and the first stream's vertex count.  The vertices are written over
-    `keys`, which keeps the peak low.  `parse_edge_list` passes only the
-    fields that no vocabulary names, so a stream may hold no keys.
-
-    With at least `_HASH_MIN_KEYS` keys, one sort of their packed hashes
-    orders them (`_hash_order`); with fewer, or if two keys share a hash,
-    each stream is argsorted.
-    """
-    n = len(keys)
-    hashed = _hash_order(keys, size0) if n >= max(_HASH_MIN_KEYS, 1) else None
-    if hashed is not None:
-        order, sorted_keys, new = hashed
-    else:
-        order = keys[:size0].argsort()
-        if size0 < n:
-            order = np.concatenate([order, keys[size0:].argsort() + size0])
-        sorted_keys = keys[order]
-        new = np.empty(n, dtype=bool)  # where a run of equal keys starts
-        new[:1] = True  # no keys when a vocabulary names every field
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
-        if size0 < n:
-            new[size0] = True
+    order = keys.argsort()
+    sorted_keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)  # where a run of equal keys starts
+    new[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
     run_start = new.nonzero()[0]
-    # the first position of each run's key: a hashed run is in position order, and argsort need not be stable
-    first = np.minimum.reduceat(order, run_start) if hashed is None else order[run_start]
-    first_sorted = np.sort(first)
-    run_vertex = first_sorted.searchsorted(first)
+    # the first position of each run's key, as argsort need not be stable
+    first = np.minimum.reduceat(order, run_start)
+    run_vertex = np.sort(first).searchsorted(first)
     vertex_key = np.empty(len(first), dtype=np.uint64)
     vertex_key[run_vertex] = sorted_keys[run_start]
     run = np.add.accumulate(new, dtype=np.int64, out=keys)
     del new
     run -= 1
-    vertex = keys
-    vertex[order] = run_vertex.take(run, out=sorted_keys, mode="clip")
-    n0 = int(first_sorted.searchsorted(size0))
-    vertex[size0:] -= n0
-    return vertex, vertex_key, n0
+    keys[order] = run_vertex.take(run, out=sorted_keys, mode="clip")
+    return keys, vertex_key
 
 
 def _home_slots(keys: np.ndarray, bits: int, out: np.ndarray) -> np.ndarray:
@@ -604,7 +555,7 @@ def parse_edge_list(
     ASCII, only scanned for line separators.  Each field of a stream with a
     vocabulary is looked up in a hash table of the vocabulary's keys; the
     fields not found, and every field of a stream without one, are
-    numbered by a sort, of hashed keys for a large file.
+    numbered by one argsort of that stream's keys.
     Python checks only the lines those byte rules leave open: lines that
     start with whitespace, a control or non-ASCII byte or `#`, the rows
     before the first data line and that line if it starts as a header
@@ -676,36 +627,27 @@ def parse_edge_list(
     else:
         streams = [field_keys[:, 0], field_keys[:, 1]]
     del field_keys
-    # a stream's fields found in its vocabulary take their vertex in place;
-    # the others, and every field of a stream without a vocabulary, are
-    # numbered by first appearance, after the vocabulary's vertices
-    positions, new_keys = [], []
-    for i, table in enumerate(tables):
-        pos, keys = _look_up(streams[i], table) if table is not None else (None, streams[i])
-        positions.append(pos)
-        new_keys.append(keys)
-        if pos is None:
-            streams[i] = None  # numbered from its copy in new_keys alone, which keeps the peak low
-    del keys
-    size0 = len(new_keys[0])
-    new_keys = np.concatenate(new_keys)
-    vertex, vertex_key, n0 = _number(new_keys, size0)
-    del new_keys
-    vertices = []
-    for keys, pos, vocab, new_vertex in zip(streams, positions, vocabs, (vertex[:size0], vertex[size0:])):
-        if pos is not None:
-            keys[pos] = new_vertex + len(vocab)
-            new_vertex = keys
-        vertices.append(new_vertex)
+    # each stream's vertices are written over its keys: a field found in the
+    # stream's vocabulary takes its vertex from it; the others, and every
+    # field of a stream without a vocabulary, are numbered by first
+    # appearance, after the vocabulary's vertices
     long_labels = list(long_table)
-    labels = [vocab + _label_text(new_key, long_labels)
-              for vocab, new_key in zip(vocabs, (vertex_key[:n0], vertex_key[n0:]))]
+    labels = []
+    for stream, vocab, table in zip(streams, vocabs, tables):
+        if table is None:
+            new_keys = _number(stream)[1]
+        else:
+            pos, missing = _look_up(stream, table)
+            vertex, new_keys = _number(missing)
+            vertex += len(vocab)
+            stream[pos] = vertex
+        labels.append(vocab + _label_text(new_keys, long_labels))
     if unify:
-        (src,) = vertices
+        (src,) = streams
         src, tgt = (src, src.reshape(n, 2)[:, ::-1].ravel()) if undirected else (src[0::2], src[1::2])
         labels *= 2
     else:
-        src, tgt = vertices
+        src, tgt = streams
     if undirected:
         counts = counts.repeat(2)
     return MultigraphSample(*labels, (src, tgt, counts), unified=unify)

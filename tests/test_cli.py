@@ -47,6 +47,28 @@ def test_fit_survives_a_merged_cell_over_half_the_table(tmp_path, capsys, monkey
     assert code == 0, err
 
 
+def test_fit_vocabulary_labels_are_not_stripped(tmp_path, capsys):
+    # blank and comment lines are skipped once stripped, as the edge list's
+    # are; a label keeps its spaces, as an edge field does
+    vocabulary = tmp_path / "vocab.txt"
+    vocabulary.write_text("a \n  # a comment\n \nb\tlabel b\nz\n")
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a \tb\nb\ta \n")
+    model_path = tmp_path / "m.json"
+    code, _, err = run(capsys, "fit", str(edges), "-o", str(model_path), "--unify-vertices",
+                       "--vocabulary", str(vocabulary), "--rounds", "1")
+    assert code == 0, err
+    doc = json.loads(model_path.read_text())
+    assert doc["source_labels"] == doc["target_labels"] == ["a ", "b", "z"]
+    # without --unify-vertices the vocabulary declares the source vertices only
+    edges.write_text("a \tb\n")
+    code, _, err = run(capsys, "fit", str(edges), "-o", str(model_path), "--vocabulary", str(vocabulary),
+                       "--rounds", "1")
+    assert code == 0, err
+    doc = json.loads(model_path.read_text())
+    assert (doc["source_labels"], doc["target_labels"]) == (["a ", "b", "z"], ["b"])
+
+
 def test_generate_line_count_equals_m(tmp_path, capsys):
     prefix = str(tmp_path / "g")
     code, _, _ = run(capsys, "generate", "circular", "--n", "20", "--m", "500",

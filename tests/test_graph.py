@@ -397,31 +397,32 @@ def test_every_line_separator_splits_lines(newline, form):
     collide=st.booleans(),
     chunk=st.integers(1, 8),
 )
-def test_hashed_numbering_matches_the_oracle(lines, form, unify, undirected, vocabulary, target_vocabulary,
-                                             collide, chunk):
-    # every input numbered by the hashed sort, and looked up in its
-    # vocabulary a few fields at a time; with a zero multiplier every key
-    # hashes alike, so any stream with two labels falls back to argsort, and
-    # every vocabulary key lies in the probe chain of slot 0
-    with mock.patch.object(graph, "_HASH_MIN_KEYS", 0), mock.patch.object(graph, "_LOOKUP_CHUNK", chunk), \
+def test_vocabulary_lookup_matches_the_oracle(lines, form, unify, undirected, vocabulary, target_vocabulary,
+                                              collide, chunk):
+    # every input looked up in its vocabulary a few fields at a time; with a
+    # zero multiplier every key hashes alike, so every vocabulary key lies in
+    # the probe chain of slot 0
+    with mock.patch.object(graph, "_LOOKUP_CHUNK", chunk), \
             mock.patch.object(graph, "_HASH_MULTIPLIER", np.int64(0 if collide else graph._HASH_MULTIPLIER)):
         assert_matches_oracle(lambda: _as_input(lines, form, "\n"), unify=unify, undirected=undirected,
                               vocabulary=vocabulary, target_vocabulary=target_vocabulary)
 
 
-def test_hash_collisions_fall_back_to_argsort():
+def test_number_writes_first_appearance_ids_over_the_keys():
     keys = np.array([5, 7, 5, 5, 7, 9], dtype=np.int64)
-    want = ([0, 1, 0, 0, 0, 1], [5, 7, 7, 9], 2)
-    for multiplier, collides in ((graph._HASH_MULTIPLIER, False), (np.int64(0), True)):
-        with mock.patch.object(graph, "_HASH_MULTIPLIER", multiplier):
-            assert (graph._hash_order(keys, 4) is None) == collides
-            with mock.patch.object(graph, "_HASH_MIN_KEYS", 0):
-                vertex, vertex_key, n0 = graph._number(keys.copy(), 4)
-        assert (vertex.tolist(), vertex_key.tolist(), n0) == want
-    # equal keys in the two streams share a hash but never a run
-    with mock.patch.object(graph, "_HASH_MULTIPLIER", np.int64(0)):
-        order, sorted_keys, new = graph._hash_order(np.array([3, 3, 3], dtype=np.int64), 2)
-    assert order.tolist() == [0, 1, 2] and new.tolist() == [True, False, True]
+    vertex, vertex_key = graph._number(keys)
+    assert vertex is keys
+    assert (vertex.tolist(), vertex_key.tolist(), vertex_key.dtype) == ([0, 1, 0, 0, 1, 2], [5, 7, 9], np.uint64)
+    vertex, vertex_key = graph._number(np.empty(0, dtype=np.int64))
+    assert (vertex.tolist(), vertex_key.tolist()) == ([], [])
+    # a column of a (fields, 2) array, as a directed stream is numbered; the other column stays as it was
+    fields = np.array([[-1, 4], [2**40, 4], [-1, 3], [0, 2]], dtype=np.int64)
+    vertex, vertex_key = graph._number(fields[:, 0])
+    assert fields.tolist() == [[0, 4], [1, 4], [0, 3], [2, 2]]
+    assert vertex_key.tolist() == [2**64 - 1, 2**40, 0]
+
+
+def test_vocabulary_lookup_probes_shared_home_slots():
     # keys that share a home slot take the slots after it, wrapping past the
     # last, and a lookup probes on to them; an empty slot ends the probe of a
     # key not in the table
@@ -452,8 +453,8 @@ def test_hash_collisions_fall_back_to_argsort():
 
 @pytest.mark.parametrize("shape", ["regular", "irregular"])
 def test_large_inputs_match_the_oracle(shape):
-    # enough fields for the hashed sort; labels of every length class, and
-    # lines with and without counts, so both line layouts are read
+    # a few thousand fields; labels of every length class, and lines with
+    # and without counts, so both line layouts are read
     rng = random.Random(7)
     labels = [f"v{i}" for i in range(300)] + ["abcdefgh", "abcdefgh9", "\u00e9t\u00e9", "a label of twenty b"]
     lines = []
@@ -465,7 +466,6 @@ def test_large_inputs_match_the_oracle(shape):
     if shape == "irregular":
         lines[100:100] = ["# a comment", ""]
     text = "\n".join(lines) + "\n"
-    assert len(lines) * 2 >= graph._HASH_MIN_KEYS
     for unify in (False, True):
         for undirected in (False, True):
             assert_matches_oracle(lambda: text.encode(), unify=unify, undirected=undirected,

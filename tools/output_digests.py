@@ -19,6 +19,9 @@ or C library can round a float differently and so change a digest.  The outputs 
   numbered or cells summed and ordered shows here before it shows in any
   model; and whether the file's bytes, as the commands pass them, give
   the same sample as the str;
+- the explore edge files of seeds 1-3 parsed from their bytes with no
+  vocabulary, directed and undirected, so that the numbering of two
+  streams of labels by first appearance shows at 600,000 fields;
 - the same for the 800 fit-batch texts of seeds 1-2, one digest per seed
   over all samples in order, which run the parser on small inputs;
 - the same for `HARD_GRAMMAR`, a built-in text with every kind of line the
@@ -290,6 +293,12 @@ def ingest_digests(work: str):
             print(f"ingest {name} seed {seed} tsv: {digest}", flush=True)
             same = sample_digest(parse_edge_list(raw, **options)) == digest
             print(f"ingest {name} seed {seed} tsv as bytes same as str: {same}", flush=True)
+            if name == "explore":
+                # directed and undirected, each of the two streams of 300,000 fields numbered without a vocabulary
+                for undirected in (False, True):
+                    digest = sample_digest(parse_edge_list(raw, undirected=undirected))
+                    print(f"ingest {name} seed {seed} tsv without vocabulary undirected={undirected}: {digest}",
+                          flush=True)
     for seed in (1, 2):
         graphs, _ = inputs.batch_graphs(seed, BATCH_GRAPHS)
         h = hashlib.sha256()
