@@ -639,8 +639,7 @@ def parse_edge_list(
         else:
             pos, missing = _look_up(stream, table)
             vertex, new_keys = _number(missing)
-            vertex += len(vocab)
-            stream[pos] = vertex
+            stream[pos] = vertex + len(vocab)
         labels.append(vocab + _label_text(new_keys, long_labels))
     if unify:
         (src,) = streams

@@ -294,7 +294,7 @@ def ingest_digests(work: str):
             same = sample_digest(parse_edge_list(raw, **options)) == digest
             print(f"ingest {name} seed {seed} tsv as bytes same as str: {same}", flush=True)
             if name == "explore":
-                # directed and undirected, each of the two streams of 300,000 fields numbered without a vocabulary
+                # both streams numbered without a vocabulary: 300,000 fields each directed, 600,000 undirected
                 for undirected in (False, True):
                     digest = sample_digest(parse_edge_list(raw, undirected=undirected))
                     print(f"ingest {name} seed {seed} tsv without vocabulary undirected={undirected}: {digest}",
