@@ -131,18 +131,33 @@ def _cluster_costs(eng: Engine, side: str, clusters):
     return s.lf_margin[clusters] + s.prior[clusters] - eng.lf[eng.rows(side)[clusters]].sum(axis=-1)
 
 
-def _pair_deltas(eng: Engine, side: str, D: np.ndarray, c, others: np.ndarray, cost: np.ndarray):
-    """Write the k-independent merge deltas of cluster c with each of `others` into D.
+def _pair_deltas(eng: Engine, side: str, D: np.ndarray, c, others: slice, cost: np.ndarray):
+    """Write the k-independent merge deltas of cluster c with each cluster of
+    `others`, one contiguous range of ids, into D.
 
     D[a, b] holds the delta of the pair for a < b; every other entry is inf.
-    `cost` holds `_cluster_costs` of the current counts, by cluster.
+    A range above c is written along row c, one below it down column c.
+    `cost` holds `_cluster_costs` of the current counts, by cluster.  The
+    cells of the pairs are summed in C order, one row per pair, so each
+    pair's sum is that of a 1-D sum of its cells (the target side's rows
+    are a strided view of M).
     """
+    if others.start == others.stop:
+        return
     s, M = eng.sides[side], eng.rows(side)
     lf = eng.lf
-    m = s.margin[c] + s.margin[others]
-    n = s.sizes[c] + s.sizes[others]
-    merged = lf[m] + eng._lnC(m + n - 1, n - 1) - lf[M[c] + M[others]].sum(axis=1)
-    D[np.minimum(c, others), np.maximum(c, others)] = merged - cost[c] - cost[others]
+    m = s.margin[others] + s.margin[c]
+    n1 = s.sizes[others] + (s.sizes[c] - 1)  # the merged sizes less one
+    # lf[m] plus lnC(m + n - 1, n - 1), whose third term is lf[m] again
+    lf_m = lf[m]
+    merged = lf_m + (lf[m + n1] - lf[n1] - lf_m)
+    merged -= np.add.reduce(lf[np.add(M[c], M[others], order="C")], axis=1)
+    merged -= cost[c]
+    merged -= cost[others]
+    if others.start > c:
+        D[c, others] = merged
+    else:
+        D[others, c] = merged
 
 
 def _cross_side_correction(eng: Engine, D_full: np.ndarray, old_a, old_b):
@@ -196,8 +211,9 @@ def _best_merge(eng: Engine, D: dict) -> tuple:
     The pair deltas in D carry rounding from their update history, so exact
     ties could fall either way.  Every pair within a relative 1e-9 of the
     best (far above that rounding) is scored again from the counts, one
-    `Engine.merge_struct` call per side, and the first minimum in (side, a,
-    b) order wins ("source" sorts first), as in a scan over all pairs; the
+    call of the unchecked `Engine._merge_struct` per side (the finite
+    entries of D are valid pairs), and the first minimum in (side, a, b)
+    order wins ("source" sorts first), as in a scan over all pairs; the
     returned delta is that fresh value.
     """
     low = {}  # side -> (smallest pair delta, merge_global)
@@ -210,7 +226,7 @@ def _best_merge(eng: Engine, D: dict) -> tuple:
     for side, (v, g) in low.items():
         if v + g <= lim:
             a, b = np.divmod(np.flatnonzero(D[side] <= lim - g), len(D[side]))
-            deltas = eng.merge_struct(side, a, b) + g
+            deltas = eng._merge_struct(side, a, b) + g
             i = int(deltas.argmin())
             near.append((float(deltas[i]), side, int(a[i]), int(b[i])))
     return min(near)
@@ -233,11 +249,11 @@ def _merges(eng: Engine):
     """
     D, cost = {}, {}
     for side in ("source", "target"):
-        ids = np.arange(eng.sides[side].k)
-        D[side] = np.full((len(ids), len(ids)), np.inf)
-        cost[side] = _cluster_costs(eng, side, ids)
-        for i in range(len(ids) - 1):
-            _pair_deltas(eng, side, D[side], i, ids[i + 1 :], cost[side])
+        k = eng.sides[side].k
+        D[side] = np.full((k, k), np.inf)
+        cost[side] = _cluster_costs(eng, side, np.arange(k))
+        for c in range(k - 1):
+            _pair_deltas(eng, side, D[side], c, slice(c + 1, k), cost[side])
     # D shrinks as a view of its start buffer, whose flat indices are cheaper to write
     full = dict(D)
     while eng.sides["source"].k > 1 or eng.sides["target"].k > 1:
@@ -253,8 +269,8 @@ def _merges(eng: Engine):
         # every other-side cluster had its counts at a and b fused
         cost[other] += eng.lf[old_a] + eng.lf[old_b] - eng.lf[old_a + old_b]
         D[side] = shift_out(shift_out(D[side], b).T, b).T
-        others = np.arange(eng.sides[side].k)
-        _pair_deltas(eng, side, D[side], a, others[others != a], cost[side])
+        _pair_deltas(eng, side, D[side], a, slice(0, a), cost[side])
+        _pair_deltas(eng, side, D[side], a, slice(a + 1, eng.sides[side].k), cost[side])
         _cross_side_correction(eng, full[other], old_a, old_b)
 
 

@@ -215,6 +215,68 @@ def test_merge_caches_match_recomputation_to_the_root(sample):
         vns_fit(sample, FitConfig(rounds=3, seed=0))
 
 
+def fresh_pair_delta(eng, side, cost, a, i):
+    """The pair delta of survivor a with cluster i, scored alone from the
+    current counts and the merge loop's `cost`, in the loop's operation order."""
+    s, M, lf = eng.sides[side], eng.rows(side), eng.lf
+    m = s.margin[a] + s.margin[i]
+    n = s.sizes[a] + s.sizes[i]
+    merged = lf[m] + (lf[m + n - 1] - lf[n - 1] - lf[m]) - np.add.reduce(lf[M[a] + M[i]])
+    return merged - cost[a] - cost[i]
+
+
+def survivor_refreshes(eng):
+    """Run `_merges` to the root; after each merge, check that the survivor's
+    pair deltas, down its column and along its row, equal a fresh per-pair
+    computation bit for bit.  Returns (survivor, k after the merge) of each
+    merge checked: all but the last, which leaves one cluster per side."""
+    merges = _merges(eng)
+    checked, last = [], None
+    for best in merges:
+        if last is not None:
+            _, side, a, _ = last
+            D, cost = (merges.gi_frame.f_locals[name][side] for name in ("D", "cost"))
+            k = eng.sides[side].k
+            got = np.concatenate([D[:a, a], D[a, a + 1 :]])
+            want = np.array([fresh_pair_delta(eng, side, cost, a, i) for i in range(k) if i != a], dtype=float)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (side, a, k)
+            checked.append((a, k))
+        last = best
+    assert eng.sides["source"].k == eng.sides["target"].k == 1
+    return checked
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(sample=skewed_samples())
+def test_refreshed_survivor_pairs_are_bit_exact(sample):
+    with mock.patch.object(_engine, "shared_cache", CombinatoricsCache()):
+        checked = survivor_refreshes(Engine(maximal_model(sample)))
+    assert len(checked) == sample.n_source + sample.n_target - 3
+
+
+def test_refreshed_survivor_pairs_are_bit_exact_at_k64(block_sample):
+    eng = Engine(initial_solution(block_sample, 64, seed=5))
+    assert eng.sides["source"].k == eng.sides["target"].k == 64
+    checked = survivor_refreshes(eng)
+    assert len(checked) == 2 * 63 - 1
+    # survivors at either end: an empty column range, and an empty row range
+    assert any(a == 0 and k > 1 for a, k in checked)
+    assert any(a == k - 1 and k > 1 for a, k in checked)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (0, 4), (4, 2), (-1, 2), (3, -2)])
+def test_merge_struct_rejects_invalid_pairs(block_sample, a, b):
+    eng = Engine(initial_solution(block_sample, 4, seed=0))
+    for side in ("source", "target"):
+        assert eng.sides[side].k == 4
+        with pytest.raises(ValueError, match="invalid cluster pair"):
+            eng.merge_struct(side, a, b)
+        # one invalid pair among valid ones
+        with pytest.raises(ValueError, match="invalid cluster pair"):
+            eng.merge_struct(side, np.array([0, a, 2]), np.array([1, b, 3]))
+        assert eng.merge_struct(side, np.array([0, 2]), np.array([1, 3])).shape == (2,)
+
+
 # -- vertex-move deltas against the per-vertex np.ix_ form ------------------------
 
 

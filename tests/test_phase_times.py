@@ -22,3 +22,18 @@ def test_phase_times_prints_the_phases_of_a_real_fit():
     assert len(median) == 1 and len(median[0]) == 2 + 4 * len(PHASES)
     assert lines[-1].startswith("rounds not converged, of 1: ")
     assert all(f"{phase} " in lines[-1] for phase in PHASES)
+
+
+def test_phase_times_batch_prints_the_mean_seconds_per_fit():
+    run = subprocess.run([sys.executable, TOOL, "--batch", "1", "--graphs", "12"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    head = lines[0].split()
+    assert head[:5] == ["fit-batch", "seed", "1:", "12", "graphs,"]
+    fitted, raised = int(head[5]), int(head[7])
+    assert fitted + raised == 12 and fitted > 0
+    assert lines[1] == "mean seconds per fit:"
+    rows = dict(line.rsplit(None, 1) for line in lines[2:])
+    assert [name.strip() for name in rows] == ["parse", *PHASES, "outside rounds"]
+    assert all(float(v) >= 0.0 for v in rows.values())

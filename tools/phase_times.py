@@ -1,6 +1,7 @@
-"""Print what each phase of each `vns_fit` round did on the fit-large input, and its wall seconds.
+"""Print what each phase of each `vns_fit` round did on the fit-large input (or the fit-batch pass), and its wall seconds.
 
     python3 tools/phase_times.py [--seeds 1 2 3] [--rounds 4] [--fit-seed 0]
+    python3 tools/phase_times.py --batch SEED [--graphs 640]
 
 For each input seed, the benchmark's fit-large edge file is written by
 `perfbench/inputs.py` and parsed as `modlcc fit --unify-vertices` parses
@@ -14,13 +15,23 @@ pass cap).  Each row is one round, with its wall seconds, final cluster
 counts and criterion; the `median` row holds the median of each numeric
 column, and the last line counts the rounds in which each phase did not
 converge.  Times are wall-clock `perf_counter` seconds only.
+
+With --batch SEED, the tool profiles the fit-batch pass in place of the
+fit-large rounds: the --graphs graphs of `perfbench/inputs.batch_graphs`
+are parsed and fitted in order, as the benchmark's fit-batch workload does
+(`parse_edge_list`, then `vns_fit` with `inputs.BATCH_ROUNDS` rounds and
+seed 0, in process, a raising graph counted and skipped).  It prints the
+mean seconds per successful fit of the parse, of each phase summed over
+the fit's rounds, and of the fit's time outside its rounds.
 """
 
 import argparse
+import collections
 import os
 import statistics
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -35,12 +46,42 @@ def phase_cells(p) -> str:
     return f"{p.seconds:>8.3f} {p.passes:>6} {p.moves:>6} {p.merges:>6} {'yes' if p.converged else 'no':>4}"
 
 
+def batch_phases(seed: int, count: int):
+    graphs, _ = inputs.batch_graphs(seed, count)
+    totals, fits, failed = collections.defaultdict(float), 0, 0
+    for g in graphs:
+        t = time.perf_counter()
+        try:
+            sample = parse_edge_list(g.text, unify=g.unify)
+            t_parse = time.perf_counter()
+            fit = vns_fit(sample, FitConfig(rounds=inputs.BATCH_ROUNDS, seed=0))
+        except Exception:
+            failed += 1
+            continue
+        t_fit = time.perf_counter() - t_parse
+        fits += 1
+        totals["parse"] += t_parse - t
+        for r in fit.rounds:
+            for p in r.phases:
+                totals[p.phase] += p.seconds
+        totals["outside rounds"] += t_fit - sum(r.seconds for r in fit.rounds)
+    print(f"fit-batch seed {seed}: {len(graphs)} graphs, {fits} fitted, {failed} raised")
+    print("mean seconds per fit:")
+    for name, total in totals.items():
+        print(f"{name:>15} {total / max(fits, 1):.6f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1], help="fit-large input seeds")
     parser.add_argument("--rounds", type=int, default=inputs.FIT_LARGE_ROUNDS, help="rounds per input")
     parser.add_argument("--fit-seed", type=int, default=0, help="the FitConfig seed of the rounds")
+    parser.add_argument("--batch", type=int, metavar="SEED", help="profile the fit-batch pass of this seed")
+    parser.add_argument("--graphs", type=int, default=640, help="fit-batch graphs (with --batch)")
     args = parser.parse_args()
+    if args.batch is not None:
+        batch_phases(args.batch, args.graphs)
+        return
     logs = []
     with tempfile.TemporaryDirectory() as work:
         for seed in args.seeds:
