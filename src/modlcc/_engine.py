@@ -32,6 +32,17 @@ from .combinatorics import shared_cache
 OTHER_SIDE = {"source": "target", "target": "source"}
 # entries of the largest per-sweep gain table (2 MB)
 _GAIN_TABLE_MAX = 1 << 18
+# the largest table need (`table_need`) of an engine that scores moves in
+# scalar arithmetic: its list of ln(i!) holds at most this many Python
+# floats, about 2 MB
+_SCALAR_TABLE_MAX = 1 << 16
+# `_move_deltas` takes the scalar body below this many clusters.  Its cost
+# grows with k and with the profile's cells, the array body's hardly does:
+# microseconds per call, scalar/array (timeit, best of 7, 2-core host),
+#   1 cell:  k=4 4.7/10.9, k=8 7.7/12.0, k=12 10.2/12.1, k=16 11.5/11.1
+#   4 cells: k=4 5.8/12.3, k=8 8.7/11.6, k=12 12.0/12.0, k=16 14.9/12.2
+#   7 cells: k=4 6.1/13.0, k=8 10.7/12.2, k=12 13.8/12.0, k=16 18.5/12.9
+_SCALAR_MAX_K = 12
 
 
 def shift_out(x, i):
@@ -59,12 +70,17 @@ class Side:
     log_partitions: np.ndarray = field(init=False)  # k - 1 -> ln B(n, k), for k up to the start's k
 
 
+def table_need(sample, k_source, k_target):
+    """The entries of the factorial table that an engine on `sample` at these
+    cluster counts reads."""
+    return sample.m + max(k_source * k_target, sample.n_source, sample.n_target) + 2
+
+
 def warm_tables(sample, k_source, k_target):
     """Size the shared factorial table for an engine on `sample` at these
     cluster counts, and warm the partition-count rows up to them; returns
     the table."""
-    kE = k_source * k_target
-    lf = shared_cache.factorial_table(sample.m + max(kE, sample.n_source, sample.n_target) + 2)
+    lf = shared_cache.factorial_table(table_need(sample, k_source, k_target))
     shared_cache.log_partition_count(sample.n_source, k_source)
     shared_cache.log_partition_count(sample.n_target, k_target)
     return lf
@@ -90,6 +106,11 @@ class Engine:
         }
         # cluster counts never grow while the engine lives, so the tables are read once
         lf = self.lf = warm_tables(sample, model.k_source, model.k_target)
+        # ln(i!) as Python floats: a list for an engine of a small table need,
+        # which the scalar move body requires, else the array's `item`
+        need = table_need(sample, model.k_source, model.k_target)
+        self.lf_list = self.cache.factorial_list(need) if need <= _SCALAR_TABLE_MAX else None
+        self.at = lf.item if self.lf_list is None else self.lf_list.__getitem__
         for s in self.sides.values():
             nc1 = s.sizes - 1
             s.lf_margin, s.lf_sizes = lf[s.margin], lf[s.sizes]
@@ -99,7 +120,7 @@ class Engine:
     def _refresh(self, s, c):
         """Bring the terms of cluster c of side `s` up to its counts, with the
         IEEE operations of `__init__` on Python floats."""
-        at = self.lf.item
+        at = self.at
         mc, nc = int(s.margin[c]), int(s.sizes[c])
         lf_mc = at(mc)
         s.lf_margin[c], s.lf_sizes[c] = lf_mc, at(nc)
@@ -260,9 +281,9 @@ class Engine:
         NumPy scalars, at a fraction of the call overhead.
         """
         s = self.sides[side]
-        at = self.lf.item
-        dv = int(s.degrees[v])
-        na, ma = int(s.sizes[a]), int(s.margin[a])
+        at = self.at
+        dv = s.degrees.item(v)
+        na, ma = s.sizes.item(a), s.margin.item(a)
         lf_rest = at(ma - dv)
         base += lf_rest - s.lf_margin.item(a)
         base -= s.prior.item(a)
@@ -281,7 +302,7 @@ class Engine:
         k, k_other = s.k, self.sides[OTHER_SIDE[side]].k
         if k < 2:
             raise ValueError(f"the {side} side has one cluster and cannot lose one")
-        at = self.lf.item
+        at = self.at
         m, kE_old, kE_new = self.m, k * k_other, (k - 1) * k_other
         dB = s.log_partitions.item(k - 2) - s.log_partitions.item(k - 1)
         # lnC(m + kE - 1, kE - 1) = lf[m + kE - 1] - lf[kE - 1] - lf[m]
@@ -292,13 +313,61 @@ class Engine:
         """Deltas of moving vertex v into each cluster of `side`, by cluster id.
 
         `profile` is v's (cols, cnts, gain) entry of `vertex_profiles`.  v's
-        own cluster a gets +inf.  The block M[:, cols] is gathered into C
-        order with one more row, k, that holds row a less v's counts, so
-        each row sums in the order of a 1-D sum, and row k's likelihood
-        terms, lf[x] - lf[x + cnts] at x = row a - cnts, are the removal's
-        terms negated, whose sum negates bit for bit.  With a gain table,
-        each term is one lookup.  The own cluster's lookups can run past
-        the factorial table, hence the clipped reads; its entry is masked.
+        own cluster gets +inf.  Two bodies compute the same bits: the scalar
+        one for few clusters and cells, where NumPy's per-call cost would
+        dominate, and the array one otherwise.
+        """
+        # Below 8 terms NumPy's row reduce is a left fold, which the scalar
+        # body repeats on Python floats; from 8 terms on it sums pairwise,
+        # so this bound is a condition of bit-equality, not a tuning knob.
+        if len(profile[0]) < 8 and self.sides[side].k < _SCALAR_MAX_K and self.lf_list is not None:
+            return self._move_deltas_scalar(side, v, profile)
+        return self._move_deltas_array(side, v, profile)
+
+    def _move_deltas_scalar(self, side, v, profile):
+        """`_move_deltas` on Python floats, for a profile of fewer than 8 cells.
+
+        It runs the array body's IEEE operations in their order: each row's
+        likelihood terms summed in a left fold from 0.0 (a row of no cells
+        sums to 0.0), the removal row first, then `_removal_base`, then per
+        destination ((base + d6) + d7) + d4.  The gain table holds the same
+        differences as two lookups, so it is not read.
+        """
+        cols, cnts, _ = profile
+        s = self.sides[side]
+        lf = self.lf_list
+        a = s.assign.item(v)
+        cnts = cnts.tolist()
+        rows = self.rows(side).take(cols, axis=1).tolist()
+        d = 0.0  # the removal row: lf[y] - lf[y + c] at y = x - c, x in row a
+        for x, c in zip(rows[a], cnts):
+            d += lf[x - c] - lf[x]
+        dv, base = self._removal_base(side, v, a, -d)
+        deltas = []
+        terms = zip(rows, s.margin.tolist(), s.sizes.tolist(),
+                    s.lf_margin.tolist(), s.lf_sizes.tolist(), s.prior.tolist())
+        for c, (row, mc, nc, lf_mc, lf_nc, prior) in enumerate(terms):
+            if c == a:  # its lookups can run past the list
+                deltas.append(math.inf)
+                continue
+            d6 = 0.0
+            for x, n in zip(row, cnts):
+                d6 += lf[x] - lf[x + n]
+            mc += dv
+            lf_mv = lf[mc]
+            deltas.append(base + d6 + (lf_mv - lf_mc) + (lf[mc + nc] - lf_nc - lf_mv - prior))
+        return np.array(deltas)
+
+    def _move_deltas_array(self, side, v, profile):
+        """`_move_deltas` in NumPy array operations.
+
+        The block M[:, cols] is gathered into C order with one more row, k,
+        that holds row a less v's counts, so each row sums in the order of a
+        1-D sum, and row k's likelihood terms, lf[x] - lf[x + cnts] at
+        x = row a - cnts, are the removal's terms negated, whose sum negates
+        bit for bit.  With a gain table, each term is one lookup.  The own
+        cluster's lookups can run past the factorial table, hence the
+        clipped reads; its entry is masked.
         """
         cols, cnts, gain = profile
         s = self.sides[side]

@@ -78,7 +78,9 @@ class CombinatoricsCache:
 
     The factorial table holds ln(i!) for 0 <= i < its length, from
     `_log_factorials`; it starts at 1,025 entries and at least doubles each
-    time it grows, computing only the new entries.
+    time it grows, computing only the new entries.  `factorial_list` keeps
+    a prefix of it as a list of Python floats, extended as far as asked,
+    for code that reads single entries.
 
     B(n, k) counts the divisions of n labeled elements into at most k
     subsets (empty subsets allowed): the prefix sums over i of the
@@ -89,6 +91,7 @@ class CombinatoricsCache:
     def __init__(self):
         # ln(i!) for i <= 1024 to start; `factorial_table` grows it on demand
         self._lf = _log_factorials(0, 1025)
+        self._lf_list: list[float] = []
         self._partition_rows: dict[int, np.ndarray] = {}
 
     # -- factorials -------------------------------------------------------
@@ -99,6 +102,14 @@ class CombinatoricsCache:
             size = max(n + 1, 2 * len(self._lf))
             self._lf = np.concatenate((self._lf, _log_factorials(len(self._lf), size)))
         return self._lf
+
+    def factorial_list(self, n: int) -> list[float]:
+        """Return a list t with t[i] = ln(i!) valid for 0 <= i <= n: the
+        table's entries as Python floats, each converted once."""
+        lst = self._lf_list
+        if n >= len(lst):
+            lst += self.factorial_table(n)[len(lst) : n + 1].tolist()
+        return lst
 
     def log_factorial(self, n: int) -> float:
         if n < 0:

@@ -28,12 +28,13 @@ __all__ = [
 ]
 
 # `vns_fit` runs its rounds on forked workers once a sample has this many
-# distinct cells.  On 2 cores, starting a 2-worker fork pool costs about
-# 16 ms, and one round of `gen_block_diagonal` samples (4 rounds) costs
-# 3.7 ms at 100 cells, 15-18 ms at 540-770 cells, 34 ms at 936 cells and
-# 98 ms at 2,953 cells.  Below the threshold the start is a large share of
-# the fit, so small samples, such as the benchmark's fit-batch graphs of at
-# most about 121 cells, stay in process.
+# distinct cells.  On 2 cores, starting a 2-worker fork pool costs 13-15 ms,
+# and one round on `gen_block_diagonal(n, 2, 0.5, m, seed=1)` samples
+# (median of 10 fits of 4 rounds, two runs) costs 2-4 ms at 93 cells,
+# 9-10 ms at 496, 11-12 ms at 693, 11-15 ms at 1,027 and 24-26 ms at 2,917
+# cells.  Below the threshold the start is a large share of the fit, so
+# small samples, such as the benchmark's fit-batch graphs of at most about
+# 121 cells, stay in process.
 POOL_MIN_CELLS = 1000
 
 
@@ -347,7 +348,7 @@ def _round(sample, max_init, child):
     """One round: a random start from seed `child`, moves, merges, moves.
 
     Returns (a `PhaseLog` per phase, final (source, target) assignments,
-    criterion, seconds).
+    the eight criterion terms, seconds).
     """
     t0 = lap = time.perf_counter()
     phases = []
@@ -364,8 +365,7 @@ def _round(sample, max_init, child):
     log("pre-opt", *_post_opt(eng, FitConfig.post_opt_passes))
     log("merges", merges=_gbum(eng))
     log("post-opt", *_post_opt(eng, FitConfig.post_opt_passes))
-    total = eng.criterion_total()
-    return phases, eng.assignments(), total, time.perf_counter() - t0
+    return phases, eng.assignments(), eng.criterion_terms(), time.perf_counter() - t0
 
 
 def _initial_clusters(sample) -> int:
@@ -428,10 +428,11 @@ def vns_fit(sample, config: FitConfig | None = None) -> FitResult:
     else:
         results = [_round(sample, max_init, child) for child in children]
 
-    best_assign = None
+    best_assign = best_terms = None
     best_total = np.inf
     logs: list[RoundLog] = []
-    for r, (phases, assign, total, seconds) in enumerate(results):
+    for r, (phases, assign, terms, seconds) in enumerate(results):
+        total = float(sum(terms))
         logs.append(RoundLog(
             round=r,
             seed=config.seed,
@@ -444,10 +445,14 @@ def vns_fit(sample, config: FitConfig | None = None) -> FitResult:
             phases=phases,
         ))
         if total < best_total:
-            best_total = total
-            best_assign = assign
+            best_total, best_assign, best_terms = total, assign, terms
     null = null_model(sample)
-    best_model = null if null.criterion().total < best_total else Coclustering(sample, *best_assign)
+    if null.criterion().total < best_total:
+        best_model = null
+    else:
+        best_model = Coclustering(sample, *best_assign)
+        # the round's engine scored this partition; a fresh one would give the same bits
+        best_model._criterion = CriterionBreakdown.from_terms(best_terms)
     return FitResult(
         best_model=best_model,
         best_criterion=best_model.criterion(),

@@ -101,6 +101,21 @@ def test_cache_growth_preserves_values():
     assert cache.log_factorial(100) == pytest.approx(math.log(math.factorial(100)), rel=1e-12)
 
 
+def test_factorial_list_is_a_prefix_of_the_table_as_python_floats():
+    cache = CombinatoricsCache()
+    lst = cache.factorial_list(10)
+    assert len(lst) == 11
+    # extended in place as far as asked, growing the table when it must
+    lengths = []
+    for n in (5, 700, 3000):
+        assert cache.factorial_list(n) is lst
+        lengths.append(len(lst))
+    assert lengths == [11, 701, 3001]
+    assert len(cache.factorial_table(0)) == 3001  # max(n + 1, 2 * 1025)
+    assert all(type(x) is float for x in lst)
+    assert np.array(lst).tobytes() == cache.factorial_table(0)[:3001].tobytes()
+
+
 # ln(i!) as scipy.special.gammaln(i + 1) gives it (SciPy 1.17.1), at
 # x = i + 1 on both sides of lgam's bound at x = 13 and around x = 1000,
 # and at x = 40, the largest x where its two Stirling corrections round

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from modlcc import optimizer
+from modlcc._engine import Engine
 from modlcc.hierarchy import build_dendrogram, cut
 from modlcc.model import Coclustering, from_partitions, maximal_model, null_model
 from modlcc.optimizer import gbum
@@ -148,3 +150,30 @@ def test_dendrogram_matches_exhaustive_scan_on_tied_singletons(seed):
     source = np.random.default_rng(seed).integers(0, 3, sample.n_source)
     source[:3] = np.arange(3)
     assert_matches_exhaustive(Coclustering(sample, source, np.arange(sample.n_target)))
+
+
+def test_near_ties_are_scored_in_one_call_per_side(monkeypatch):
+    # merges of this tie-heavy model have up to about 2,500 near-tied pairs;
+    # scored one pair at a time, its 1000-vertex form took 21.9 s for the
+    # dendrogram against 1.18 s
+    sample, _ = gen_blockmodel(np.ones((1, 1)), [300], 900, seed=0)
+    source = np.random.default_rng(0).integers(0, 5, sample.n_source)
+    source[:5] = np.arange(5)
+    calls, pairs = [], []
+    merge_struct, best_merge = Engine._merge_struct, optimizer._best_merge
+
+    def counted_merge_struct(eng, side, a, b):
+        calls[-1] += 1
+        pairs.append(np.size(a))
+        return merge_struct(eng, side, a, b)
+
+    def counted_best_merge(eng, D):
+        calls.append(0)
+        return best_merge(eng, D)
+
+    monkeypatch.setattr(Engine, "_merge_struct", counted_merge_struct)
+    monkeypatch.setattr(optimizer, "_best_merge", counted_best_merge)
+    dend = build_dendrogram(Coclustering(sample, source, np.arange(sample.n_target)))
+    assert len(calls) == len(dend.merges) > 250
+    assert max(calls) <= 2
+    assert max(pairs) > 1000

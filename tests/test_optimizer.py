@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
+import operator
 import os
 from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
@@ -108,6 +111,30 @@ def test_vns_fit_round_log():
     assert [r.round for r in fit.rounds] == [0, 1, 2]
     best = min(r.criterion for r in fit.rounds)
     assert fit.best_criterion.total <= best + 1e-9  # null guard can only improve
+
+
+def test_vns_fit_keeps_the_best_round_engines_criterion(monkeypatch):
+    # the best model carries its round's criterion terms, which equal a fresh
+    # scoring bit for bit: one engine per round and one for the null model
+    engines = []
+    init = Engine.__init__
+
+    def counted(eng, model):
+        engines.append(model)
+        init(eng, model)
+
+    monkeypatch.setattr(Engine, "__init__", counted)
+    rng = np.random.default_rng(7)
+    samples = [gen_block_diagonal(10, 2, 0.0, m, seed=i)[0] for i, m in enumerate((50, 200, 800))]
+    samples += [skewed_sample(rng, 9, 7, 1500, 40), gen_undirected_pattern(2, 5, 0.8, 0.1, seed=3)[0]]
+    for sample in samples:
+        engines.clear()
+        fit = vns_fit(sample, FitConfig(rounds=3, seed=2))
+        assert len(engines) == 3 + 1
+        fresh = Coclustering(sample, fit.best_model.source_assignment, fit.best_model.target_assignment)
+        got, want = fit.best_criterion.to_dict(), fresh.criterion().to_dict()
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+        assert fit.best_model.criterion() is fit.best_criterion
 
 
 def test_recovers_four_cocliques():
@@ -280,6 +307,9 @@ def test_merge_struct_rejects_invalid_pairs(block_sample, a, b):
 # -- vertex-move deltas against the per-vertex np.ix_ form ------------------------
 
 
+MOVE_BODIES = ("scalar", "array")
+
+
 def assert_move_options_match_oracle(eng):
     for side in ("source", "target"):
         for v, profile in enumerate(eng.vertex_profiles(side)):
@@ -288,6 +318,30 @@ def assert_move_options_match_oracle(eng):
             assert got[0] == a
             assert np.array_equal(got[1], dests)
             assert np.array_equal(got[2], deltas)
+
+
+@contextlib.contextmanager
+def forced_move_body(body):
+    """Force one body of `Engine._move_deltas` by its gate: the scalar one at
+    any k (where its table and cell conditions hold), or the array one
+    always.  Asserts on exit that the forced body ran, and for the array
+    one that the scalar one did not."""
+    calls = {"scalar": 0, "array": 0}
+
+    def counted(name):
+        method = getattr(Engine, f"_move_deltas_{name}")
+
+        def run(eng, side, v, profile):
+            calls[name] += 1
+            return method(eng, side, v, profile)
+
+        return mock.patch.object(Engine, f"_move_deltas_{name}", run)
+
+    with mock.patch.object(_engine, "_SCALAR_MAX_K", 2**63 if body == "scalar" else 0), \
+            counted("scalar"), counted("array"):
+        yield
+    assert calls[body] > 0
+    assert body == "scalar" or calls["scalar"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -299,11 +353,15 @@ def block_sample():
 def test_move_options_match_oracle_on_a_fresh_engine(block_sample, monkeypatch, table):
     if not table:
         monkeypatch.setattr(_engine, "_GAIN_TABLE_MAX", 0)
-    eng = Engine(initial_solution(block_sample, 64, seed=3))
-    assert eng.sides["source"].k == eng.sides["target"].k == 64
-    for side in ("source", "target"):
-        assert all((gain is not None) == table for _, _, gain in eng.vertex_profiles(side))
-    assert_move_options_match_oracle(eng)
+    for body in MOVE_BODIES:
+        with forced_move_body(body):
+            eng = Engine(initial_solution(block_sample, 64, seed=3))
+            assert eng.sides["source"].k == eng.sides["target"].k == 64
+            for side in ("source", "target"):
+                assert all((gain is not None) == table for _, _, gain in eng.vertex_profiles(side))
+            assert_move_options_match_oracle(eng)
+            # every profile of the k = 64 start has 8 cells or more, all of this one's fewer
+            assert_move_options_match_oracle(Engine(initial_solution(block_sample, 6, seed=3)))
 
 
 def test_public_move_scores_existing_clusters_as_move_options(block_sample):
@@ -317,26 +375,33 @@ def test_public_move_scores_existing_clusters_as_move_options(block_sample):
 
 
 def test_move_options_match_oracle_on_singletons():
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        sample = random_sample(rng, n_s_max=9, n_t_max=9, m_max=300)
-        assert_move_options_match_oracle(Engine(maximal_model(sample)))
+    for body in MOVE_BODIES:
+        rng = np.random.default_rng(11)
+        with forced_move_body(body):
+            for _ in range(60):
+                sample = random_sample(rng, n_s_max=9, n_t_max=9, m_max=300)
+                assert_move_options_match_oracle(Engine(maximal_model(sample)))
 
 
 def test_move_options_match_oracle_after_post_opt(block_sample):
-    eng = Engine(initial_solution(block_sample, 64, seed=4))
-    _post_opt(eng, 2)
-    assert_move_options_match_oracle(eng)
+    for body in MOVE_BODIES:
+        with forced_move_body(body):
+            for k in (64, 6):
+                eng = Engine(initial_solution(block_sample, k, seed=4))
+                _post_opt(eng, 2)
+                assert_move_options_match_oracle(eng)
 
 
 def test_move_options_match_oracle_during_merges(block_sample):
-    eng = Engine(initial_solution(block_sample, 64, seed=5))
-    _post_opt(eng, 2)
-    merges = _merges(eng)
-    for _ in range(40):
-        next(merges)  # applies the merge yielded before it
-    assert eng.sides["source"].k < 64 and eng.sides["target"].k < 64
-    assert_move_options_match_oracle(eng)
+    for body in MOVE_BODIES:
+        with forced_move_body(body):
+            eng = Engine(initial_solution(block_sample, 64, seed=5))
+            _post_opt(eng, 2)
+            merges = _merges(eng)
+            for _ in range(40):
+                next(merges)  # applies the merge yielded before it
+            assert eng.sides["source"].k < 64 and eng.sides["target"].k < 64
+            assert_move_options_match_oracle(eng)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -415,6 +480,68 @@ def test_vertex_profiles_match_the_unique_oracle(block_sample, monkeypatch, tabl
     assert len(own) == 0
     cols, cnts, _ = assert_profiles_match_oracle(eng, "source", own)[2]
     assert len(cols) == len(cnts) == 0
+
+
+@st.composite
+def move_cases(draw):
+    """A sample of 2-8 vertices with edges per side and 1-2 with none, edge
+    counts of at most 1, 2 or 3 (small ones leave room for gain tables),
+    and a start in which each side's vertex 0 is a singleton cluster."""
+    n_s, n_t = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    idle_s, idle_t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    m, top = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.zeros((n_s, n_t), dtype=np.int64)
+    np.add.at(counts, (rng.integers(0, n_s, m), rng.integers(0, n_t, m)), rng.integers(1, top + 1, m))
+    edges = {(int(i), int(j)): int(counts[i, j]) for i, j in zip(*np.nonzero(counts))}
+    sample = MultigraphSample([f"s{i}" for i in range(n_s + idle_s)], [f"t{j}" for j in range(n_t + idle_t)], edges)
+    assigns = []
+    for n in (sample.n_source, sample.n_target):
+        assign = np.concatenate(([0], rng.integers(1, int(rng.integers(2, n + 1)), n - 1)))
+        assigns.append(np.unique(assign, return_inverse=True)[1])
+    return sample, *assigns
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=move_cases(), table=st.booleans())
+def test_scalar_and_array_move_bodies_agree_bit_for_bit(case, table):
+    # every move scoring of two post-opt passes, as the sweeps move vertices
+    # and empty clusters; a zero-degree vertex has a profile of no cells,
+    # and moving a singleton out scores the lost cluster (`_count_change`)
+    sample, source, target = case
+    move_deltas = Engine._move_deltas
+    scored = []
+
+    def compared(eng, side, v, profile):
+        want = eng._move_deltas_array(side, v, profile)
+        if len(profile[0]) < 8:
+            got = eng._move_deltas_scalar(side, v, profile)
+            assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            scored.append(v)
+        return move_deltas(eng, side, v, profile)
+
+    with mock.patch.object(_engine, "_GAIN_TABLE_MAX", _engine._GAIN_TABLE_MAX if table else 0), \
+            mock.patch.object(Engine, "_move_deltas", compared):
+        eng = Engine(Coclustering(sample, source, target))
+        assert eng.lf_list is not None
+        _post_opt(eng, 2)
+    assert scored
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_numpy_row_sums_of_fewer_than_8_terms_are_left_folds(n):
+    # `Engine._move_deltas_scalar` repeats the array body's row sums as left
+    # folds on Python floats; a NumPy whose row reduce sums 1-7 terms in
+    # another order breaks its bit-equality, and fails here
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((2000, n)) * 10.0 ** rng.integers(-8, 17, size=(2000, n))
+    got = np.add.reduce(rows, axis=1)
+    want = np.array([functools.reduce(operator.add, row, 0.0) for row in rows.tolist()])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if n >= 3:
+        # the data tells the orders apart: a right fold differs on some row
+        right = np.array([functools.reduce(lambda acc, x: x + acc, row[::-1], 0.0) for row in rows.tolist()])
+        assert not np.array_equal(right, want)
 
 
 # -- incremental caches against fresh computation ------------------------------------

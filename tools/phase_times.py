@@ -22,7 +22,10 @@ are parsed and fitted in order, as the benchmark's fit-batch workload does
 (`parse_edge_list`, then `vns_fit` with `inputs.BATCH_ROUNDS` rounds and
 seed 0, in process, a raising graph counted and skipped).  It prints the
 mean seconds per successful fit of the parse, of each phase summed over
-the fit's rounds, and of the fit's time outside its rounds.
+the fit's rounds, and of the fit's time outside its rounds.  A second,
+untimed pass fits the same graphs with the two bodies of
+`Engine._move_deltas` wrapped to count their calls, and prints the mean
+move scorings per successful fit and the share that took the scalar body.
 """
 
 import argparse
@@ -38,6 +41,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import inputs  # noqa: E402
 from modlcc import FitConfig, parse_edge_list, vns_fit  # noqa: E402
+from modlcc._engine import Engine  # noqa: E402
 
 FIELDS = f"{'wall s':>8} {'passes':>6} {'moves':>6} {'merges':>6} {'conv':>4}"
 
@@ -69,6 +73,39 @@ def batch_phases(seed: int, count: int):
     print("mean seconds per fit:")
     for name, total in totals.items():
         print(f"{name:>15} {total / max(fits, 1):.6f}")
+    scalar, total = move_scorings(graphs)
+    share = f"{scalar / total:.2%}" if total else "-"
+    print(f"mean move scorings per fit: {total / max(fits, 1):.1f}, scalar body {share}")
+
+
+def move_scorings(graphs):
+    """(scalar body calls, all calls) of `Engine._move_deltas` over the
+    successful fits of `graphs`, counted by wrapping its two bodies."""
+    calls = collections.Counter()
+    bodies = {body: getattr(Engine, f"_move_deltas_{body}") for body in ("scalar", "array")}
+
+    def counted(body):
+        def run(eng, side, v, profile):
+            calls[body] += 1
+            return bodies[body](eng, side, v, profile)
+        return run
+
+    scalar = total = 0
+    try:
+        for body in bodies:
+            setattr(Engine, f"_move_deltas_{body}", counted(body))
+        for g in graphs:
+            calls.clear()
+            try:
+                vns_fit(parse_edge_list(g.text, unify=g.unify), FitConfig(rounds=inputs.BATCH_ROUNDS, seed=0))
+            except Exception:
+                continue
+            scalar += calls["scalar"]
+            total += calls["scalar"] + calls["array"]
+    finally:
+        for body, method in bodies.items():
+            setattr(Engine, f"_move_deltas_{body}", method)
+    return scalar, total
 
 
 def main():
