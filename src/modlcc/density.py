@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MultigraphSample
+from .graph import MultigraphSample, int64_array
 from .model import Coclustering, null_model
 
 __all__ = [
@@ -174,9 +174,11 @@ def modularity(sample: MultigraphSample, partition) -> float:
     if not sample.unified:
         raise ValueError("modularity requires a unified vertex space")
     n = sample.n_source
-    assign = np.asarray(partition, dtype=np.int64)
+    assign = np.asarray(partition)
     if assign.shape != (n,):
         raise ValueError(f"partition must cover all {n} vertices")
+    if (assign := int64_array(assign)) is None:
+        raise ValueError("partition must hold int64 cluster ids")
     k = int(assign.max()) + 1
     m = sample.m
     same = assign[sample.src_idx] == assign[sample.tgt_idx]

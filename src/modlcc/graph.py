@@ -37,13 +37,20 @@ def _total(counts: np.ndarray) -> int:
     return total
 
 
+def int64_array(values) -> np.ndarray | None:
+    """`values` as an int64 array; None unless they are integers within int64."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind not in "iu" or (kind == "u" and array.max() > _INT64_MAX):
+        return None
+    return array.astype(np.int64, copy=False)
+
+
 def _int64_column(values) -> np.ndarray:
     """`values` as an int64 array; an EdgeListError unless they are integers within int64."""
-    column = np.asarray(values)
-    kind = column.dtype.kind
-    if kind not in "iu" or (kind == "u" and column.max() > _INT64_MAX):
+    if (column := int64_array(values)) is None:
         raise EdgeListError("edge columns must hold int64 integers")
-    return column.astype(np.int64, copy=False)
+    return column
 
 
 def int_bincount(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:
@@ -173,8 +180,6 @@ _HEADERS = (["source", "target"], ["source", "target", "count"])
 _OTHER_SEPARATORS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _ASCII_SEPARATORS = [sep.encode() for sep in _OTHER_SEPARATORS if sep.isascii()]
 _TAB, _NEWLINE, _HASH = 9, 10, 35
-# UTF-8 never uses the byte 0xFF: it ends the lines of an iterable and pads the buffer and the label keys
-_FF = 0xFF
 # bytes before and after the text, so that an 8-byte word or an 18-digit count can be read across a field's bounds
 _PAD = 24
 # any count of at most 18 digits fits in int64
@@ -190,20 +195,13 @@ _LOOKUP_CHUNK = 1 << 15
 # what the byte rules make of a line: left to Python, skipped, a data line, a data line with a count to read
 _OPEN, _SKIP, _DATA, _COUNT = range(4)
 
-
-def _rule_table(sep: int) -> np.ndarray:
-    """The byte rule of a line by its first byte and its tab count (3 for any more)."""
-    table = np.full((256, 4), _OPEN, dtype=np.int8)
-    # printable ASCII but "#": a byte that Python would neither strip nor read as a comment
-    plain = [b for b in range(33, 127) if b != _HASH]
-    table[plain, 1] = _DATA
-    table[plain, 2] = _COUNT
-    # a line that starts with its own end is blank
-    table[[_HASH, sep]] = _SKIP
-    return table
-
-
-_RULES = {sep: _rule_table(sep) for sep in (_NEWLINE, _FF)}
+# the byte rule of a line by its first byte and its tab count (3 for any more):
+# a line of one or two tabs that starts with printable ASCII, a byte Python
+# would not strip, is a data line, with a count to read after two tabs ...
+_RULES = np.full((256, 4), _OPEN, dtype=np.int8)
+_RULES[33:127, 1:3] = _DATA, _COUNT
+# ... unless it starts with "#", a comment; a line that starts with its own end is blank
+_RULES[[_HASH, _NEWLINE]] = _SKIP
 
 
 def _padded(length: int) -> bytearray:
@@ -233,10 +231,9 @@ def _read(file):
     return buf
 
 
-def _text_buffer(data) -> tuple[bytearray, int, int]:
+def _text_buffer(data) -> tuple[bytearray, int]:
     """The input's lines as UTF-8 bytes at buf[_PAD:end] of a `_padded`
-    buffer, each ended by one separator byte; `end` and that byte, which
-    buf[_PAD - 1] holds too.
+    buffer, each ended by "\n", which buf[_PAD - 1] holds too; and `end`.
 
     Bytes that hold no other line separator than "\n" are taken as they
     are.  ASCII bytes are checked with byte scans; other bytes are decoded,
@@ -247,6 +244,8 @@ def _text_buffer(data) -> tuple[bytearray, int, int]:
         data = _read(data)
         if isinstance(data, bytearray):  # read in place, between zeroed pads: ASCII, and no separator
             buf = data
+    elif not isinstance(data, (str, bytes)):
+        raise TypeError(f"edge list must be a str, bytes or a file, not {type(data).__name__}")
     if buf is not None or isinstance(data, bytes):
         text = data if buf is None else memoryview(buf)[_PAD:len(buf) - _PAD - 1]
         if data.isascii():
@@ -257,25 +256,20 @@ def _text_buffer(data) -> tuple[bytearray, int, int]:
             if any(sep in decoded for sep in _OTHER_SEPARATORS):
                 data = decoded
         del text
-    sep = _NEWLINE
     if isinstance(data, str):
         if any(sep in data for sep in _OTHER_SEPARATORS):
             data = "\n".join(data.splitlines())
         data = data.encode("utf-8", "surrogatepass")
-    elif data is not buf and not isinstance(data, bytes):
-        # each item of an iterable is one line, whatever separators it holds
-        data = b"".join(str(line).rstrip("\n").encode("utf-8", "surrogatepass") + b"\xff" for line in data)
-        sep = _FF
     if data is not buf:
         buf = _padded(len(data))
         buf[_PAD:_PAD + len(data)] = data
     del data
     end = len(buf) - _PAD - 1
-    buf[_PAD - 1] = sep
-    if end > _PAD and buf[end - 1] != sep:
-        buf[end] = sep
+    buf[_PAD - 1] = _NEWLINE
+    if end > _PAD and buf[end - 1] != _NEWLINE:
+        buf[end] = _NEWLINE
         end += 1
-    return buf, end, sep
+    return buf, end
 
 
 def _line_count(line: str, lineno: int, header: bool) -> int | None:
@@ -303,8 +297,8 @@ def _line_count(line: str, lineno: int, header: bool) -> int | None:
     return c
 
 
-def _line_spans(u8: np.ndarray, lo: int, hi: int, sep: int):
-    """The lines of u8[lo + 1:hi], where u8[lo] is a separator: the
+def _line_spans(u8: np.ndarray, lo: int, hi: int):
+    """The lines of u8[lo + 1:hi], where u8[lo] is a newline: the
     delimiters before and after each line's first two fields, as two
     (lines, 2) arrays, each line's end and its tab count, an int if every
     line has the same one.
@@ -314,16 +308,12 @@ def _line_spans(u8: np.ndarray, lo: int, hi: int, sep: int):
     the one array of delimiter positions.
     """
     body = u8[lo:hi]
-    if sep == _TAB + 1:
-        # the tab and the newline are the only bytes that fall below 2 once the tab's value is taken off
-        is_delim = np.subtract(body, _TAB, dtype=np.uint8)
-        is_delim = np.less(is_delim, 2, out=is_delim.view(bool))
-    else:
-        is_delim = body == _TAB
-        is_delim |= body == sep
+    # the tab and the newline are the only bytes that fall below 2 once the tab's value is taken off
+    is_delim = np.subtract(body, _TAB, dtype=np.uint8)
+    is_delim = np.less(is_delim, 2, out=is_delim.view(bool))
     delim = is_delim.nonzero()[0]
     del is_delim
-    is_end = body[delim] == sep  # first the separator at lo
+    is_end = body[delim] == _NEWLINE  # first the newline at lo
     delim += lo
     n_lines = int(np.count_nonzero(is_end)) - 1
     per_line = (len(delim) - 1) // max(n_lines, 1)  # delimiters per line, if all lines have as many
@@ -532,16 +522,16 @@ def parse_edge_list(
 ) -> MultigraphSample:
     """Parse a TSV edge list into a MultigraphSample.
 
-    `data` is a str, UTF-8 bytes, a file of either, or an iterable of
-    lines.  A str, bytes or file splits into lines as `str.splitlines`
-    splits it; each item of an iterable is one line, less its trailing
-    newlines.  A line is `source<TAB>target[<TAB>count]`, its fields taken
-    as they are, not stripped.  The count is whatever Python's `int()`
-    reads, and must lie in [1, 2^63); it defaults to 1, and repeated lines
-    accumulate.  A line that is blank or `#`-prefixed once stripped is
-    skipped, and so is every `source<TAB>target[<TAB>count]` header row
-    (any case and spacing) before the first data line.  A malformed line
-    raises an EdgeListError naming the first such line.
+    `data` is a str, UTF-8 bytes or a file of either; any other input, a
+    bytearray or a list of lines among them, raises a TypeError.  It splits
+    into lines as `str.splitlines` splits it.  A line is
+    `source<TAB>target[<TAB>count]`, its fields taken as they are, not
+    stripped.  The count is whatever Python's `int()` reads, and must lie
+    in [1, 2^63); it defaults to 1, and repeated lines accumulate.  A line
+    that is blank or `#`-prefixed once stripped is skipped, and so is every
+    `source<TAB>target[<TAB>count]` header row (any case and spacing)
+    before the first data line.  A malformed line raises an EdgeListError
+    naming the first such line.
 
     With ``undirected=True`` every line is ingested in both directions.
     With ``unify=True`` sources and targets share one label space.
@@ -569,12 +559,12 @@ def parse_edge_list(
             vocabs[1] = list(dict.fromkeys(target_vocabulary))
     long_table: dict[bytes, int] = {}
     tables = [_vocabulary_table(_vocabulary_keys(labels, long_table)) if labels else None for labels in vocabs]
-    buf, end, sep = _text_buffer(data)
+    buf, end = _text_buffer(data)
     u8 = np.frombuffer(buf, dtype=np.uint8)
-    before, after, ends, n_tabs = _line_spans(u8, _PAD - 1, end, sep)
+    before, after, ends, n_tabs = _line_spans(u8, _PAD - 1, end)
 
     # the byte rules: a line is skipped, or settled as a data line, or left open
-    code = _RULES[sep][u8[1:][before[:, 0]], np.minimum(n_tabs, 3)]
+    code = _RULES[u8[1:][before[:, 0]], np.minimum(n_tabs, 3)]
     del n_tabs
     counts = np.ones(len(code), dtype=np.int64)
     pending = (code == _COUNT).nonzero()[0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._engine import Engine
-from .graph import MultigraphSample, int_bincount
+from .graph import MultigraphSample, int64_array, int_bincount
 
 __all__ = [
     "ModelError",
@@ -97,9 +97,11 @@ def _normalize_partition(partition, labels, n, what) -> np.ndarray:
                 assign[idx] = cid
     else:
         # a copy: the model never shares its assignment with the caller
-        assign = np.array(part, dtype=np.int64)
+        assign = np.array(part)
         if assign.shape != (n,):
             raise ModelError(f"{what} assignment must cover all {n} vertices")
+        if (assign := int64_array(assign)) is None:  # floats, bools and strs are rejected, not truncated
+            raise ModelError(f"{what} assignment must hold int64 cluster ids")
     if np.any(assign < 0):
         raise ModelError(f"{what} partition does not cover every vertex")
     # n vertices fill at most n clusters: a larger id leaves one empty

@@ -381,15 +381,11 @@ def dict_parse_edge_list(data, unify=False, undirected=False, vocabulary=None,
                          target_vocabulary=None) -> DictSample:
     """The edge-list grammar, one dict update per line: labels interned in
     first-appearance order, cells accumulated in a tuple-keyed dict."""
+    if hasattr(data, "read"):
+        data = data.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    if isinstance(data, str):
-        lines = data.splitlines()
-    elif hasattr(data, "read"):
-        raw = data.read()
-        lines = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).splitlines()
-    else:
-        lines = [str(line).rstrip("\n") for line in data]
+    lines = data.splitlines()
 
     src_index, tgt_index = {}, {}
     if vocabulary is not None:

@@ -139,6 +139,16 @@ def test_modularity_requires_unified_sample():
         modularity(sample, [0])
 
 
+@pytest.mark.parametrize("partition", [[0.9, 1.7, 0.2], [True, False, True], ["0", "1", "0"]],
+                         ids=["float", "bool", "str"])
+def test_modularity_partition_must_hold_integers(partition):
+    sample = parse_edge_list("a\tb\nb\tc\nc\ta\n", unify=True, undirected=True)
+    with pytest.raises(ValueError, match="^partition must hold int64 cluster ids$"):
+        modularity(sample, partition)
+    with pytest.raises(ValueError, match="^partition must cover all 3 vertices$"):
+        modularity(sample, [])
+
+
 def test_modl_mi_estimate_null_fit_is_zero():
     sample = multigraph_sample()
     full, lh = modl_mi_estimate(null_model(sample), sample)

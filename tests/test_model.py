@@ -210,6 +210,18 @@ def test_partition_validation():
         from_partitions(sample, [["A", "B"], ["A", "C", "D", "E", "F", "G"]], [VOCAB])
 
 
+# an assignment of floats, bools, strs or uints beyond int64 is rejected, not cast
+@pytest.mark.parametrize("assignment", [[0.9, 1.7, 0.2], [True, False, True], ["0", "1", "0"],
+                                        np.array([0, 2**63, 1], dtype=np.uint64)], ids=["float", "bool", "str", "uint"])
+def test_assignment_arrays_must_hold_integers(assignment):
+    sample = parse_edge_list("a\tb\nb\tc\nc\ta\n", unify=True)
+    with pytest.raises(ModelError, match="^source assignment must hold int64 cluster ids$"):
+        from_partitions(sample, assignment, [0, 1, 1])
+    # the shape is checked first, as before
+    with pytest.raises(ModelError, match="^source assignment must cover all 3 vertices$"):
+        from_partitions(sample, [], [0, 1, 1])
+
+
 def test_serialization_round_trip():
     model = clustered_example()
     doc = model.to_dict(seed=9)

@@ -52,7 +52,7 @@ or C library can round a float differently and so change a digest.  The outputs 
 
 The program is imported from this checkout's `src/`, and the inputs are
 built by the benchmark's own `perfbench/inputs.py`, with the same calls
-and arguments as its workloads.  Takes about a minute on two cores.
+and arguments as its workloads.  Takes about 30 s wall on two cores.
 """
 
 import argparse
