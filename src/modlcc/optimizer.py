@@ -13,6 +13,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _engine
 from ._engine import OTHER_SIDE, Engine, shift_out, warm_tables
 from .model import Coclustering, CriterionBreakdown, null_model
 
@@ -233,21 +234,69 @@ def _best_merge(eng: Engine, D: dict) -> tuple:
     return min(near)
 
 
+def _scanned_merges(eng: Engine):
+    """`_merges` by an exhaustive scan on Python floats, for fewer than 8
+    clusters per side.
+
+    Each step scores every pair (side, a, b) in that order with the IEEE
+    operations of `Engine._merge_struct` in their order, then adds
+    `Engine.merge_global`, and keeps the first minimum: the sequence that
+    `_best_merge` emulates, bit for bit.  A pair's row sum folds left from
+    0.0 over the other side's clusters, as NumPy sums fewer than 8 terms.
+    No pair matrix is built or kept, so a step costs O(k^2 * k_other) in
+    Python arithmetic, at most 2 * 21 pairs of 7 terms.
+    """
+    lf = eng.lf_list
+    while eng.sides["source"].k > 1 or eng.sides["target"].k > 1:
+        best = None
+        for side in ("source", "target"):
+            s = eng.sides[side]
+            if s.k < 2:
+                continue
+            g = eng.merge_global(side)
+            rows = eng.rows(side).tolist()
+            margin, sizes = s.margin.tolist(), s.sizes.tolist()
+            lf_margin, prior = s.lf_margin.tolist(), s.prior.tolist()
+            for a in range(s.k - 1):
+                for b in range(a + 1, s.k):
+                    d = 0.0
+                    for x, y in zip(rows[a], rows[b]):
+                        d += lf[x] + lf[y] - lf[x + y]
+                    mab, nab = margin[a] + margin[b], sizes[a] + sizes[b]
+                    lf_mab = lf[mab]
+                    d = d + ((lf[mab + nab - 1] - lf[nab - 1] - lf_mab) - prior[a] - prior[b])
+                    d = d + (lf_mab - lf_margin[a] - lf_margin[b])
+                    d = d + g
+                    if best is None or d < best[0]:
+                        best = (d, side, a, b)
+        yield best
+        eng.apply_merge(*best[1:])
+
+
 def _merges(eng: Engine):
     """Greedy bottom-up merge sequence of `eng`, down to one cluster per side.
 
     Yields the best merge left on either side as (criterion delta, side,
     cluster a, cluster b) with a < b, and applies it when resumed; stop
-    iterating to keep the engine where it is.  Pair deltas are kept
-    incrementally, and the merged-away cluster's row and column of D are
-    deleted as the engine deletes the cluster.  The start
-    costs O(k^2 * k_other) per side.  Each merge then costs O(k * k_other)
+    iterating to keep the engine where it is.  A start of fewer than 8
+    clusters per side (and below `_engine._SCALAR_MAX_K`), on an engine
+    with a list table, takes `_scanned_merges`, which yields the same
+    sequence; merges only lower k, so the choice holds to the root.
+    Otherwise pair deltas are kept incrementally, and the merged-away
+    cluster's row and column of D are deleted as the engine deletes the
+    cluster.  The start costs O(k^2 * k_other) per side.  Each merge then costs O(k * k_other)
     to score the surviving cluster's pairs afresh, O(C^2 + s * k_other) to
     correct the other side's pairs (`_cross_side_correction`), where
     s <= k_other other-side clusters have cells in the merged rows and C
     is the number of distinct (x, y) cell pairs among them, and one
     vectorized O(k^2) scan per side for the best pair.
     """
+    # Below 8 terms NumPy's row reduce is a left fold, which the scan
+    # repeats on Python floats, so 8 is a condition of bit-equality.
+    k_max = max(eng.sides["source"].k, eng.sides["target"].k)
+    if k_max < min(8, _engine._SCALAR_MAX_K) and eng.lf_list is not None:
+        yield from _scanned_merges(eng)
+        return
     D, cost = {}, {}
     for side in ("source", "target"):
         k = eng.sides[side].k

@@ -19,6 +19,7 @@ from modlcc._engine import OTHER_SIDE, Engine
 from modlcc.combinatorics import CombinatoricsCache
 from modlcc.graph import MultigraphSample
 from modlcc.model import Coclustering, maximal_model, null_model
+from modlcc.hierarchy import build_dendrogram
 from modlcc.optimizer import FitConfig, _merges, _post_opt, _sweep, gbum, initial_solution, post_optimize, vns_fit
 from modlcc.synthgen import gen_block_diagonal, gen_undirected_pattern
 
@@ -226,8 +227,10 @@ def assert_caches_match_recomputation(eng, D):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(sample=skewed_samples())
 def test_merge_caches_match_recomputation_to_the_root(sample):
-    # a fresh table per example: a shared one only grows, which hides overflows
-    with mock.patch.object(_engine, "shared_cache", CombinatoricsCache()):
+    # a fresh table per example: a shared one only grows, which hides overflows;
+    # the pair matrices are forced, as starts of under 8 clusters scan without them
+    with mock.patch.object(_engine, "shared_cache", CombinatoricsCache()), \
+            mock.patch.object(_engine, "_SCALAR_MAX_K", 0):
         eng = Engine(maximal_model(sample))
         merges = _merges(eng)
         for _ in merges:
@@ -276,7 +279,8 @@ def survivor_refreshes(eng):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(sample=skewed_samples())
 def test_refreshed_survivor_pairs_are_bit_exact(sample):
-    with mock.patch.object(_engine, "shared_cache", CombinatoricsCache()):
+    with mock.patch.object(_engine, "shared_cache", CombinatoricsCache()), \
+            mock.patch.object(_engine, "_SCALAR_MAX_K", 0):
         checked = survivor_refreshes(Engine(maximal_model(sample)))
     assert len(checked) == sample.n_source + sample.n_target - 3
 
@@ -607,6 +611,7 @@ def assert_corrections_cover(calls):
 def test_class_grouped_correction_equals_the_per_pair_formula(sample):
     calls = []
     with mock.patch.object(_engine, "shared_cache", CombinatoricsCache()), \
+            mock.patch.object(_engine, "_SCALAR_MAX_K", 0), \
             mock.patch.object(optimizer, "_cross_side_correction", checked_correction(calls)):
         eng = Engine(maximal_model(sample))
         for _ in _merges(eng):
@@ -624,6 +629,101 @@ def test_class_grouped_correction_equals_the_per_pair_formula_at_k64(block_sampl
             pass
     assert len(calls) == 2 * 63
     assert_corrections_cover(calls)
+
+
+# -- the scanned merge path against the pair matrices ------------------------------
+
+
+def exhaustive_merges(model):
+    """Merge path of `model` to the root by an exhaustive scan: all pairs of a
+    side scored in one `Engine.merge_struct` call, plus `merge_global`, and
+    the first minimum of (delta, side, a, b) applied."""
+    eng = Engine(model)
+    path = []
+    while eng.sides["source"].k > 1 or eng.sides["target"].k > 1:
+        steps = []
+        for side in ("source", "target"):
+            k = eng.sides[side].k
+            if k > 1:
+                a, b = np.triu_indices(k, 1)
+                deltas = eng.merge_struct(side, a, b) + eng.merge_global(side)
+                steps += zip(deltas.tolist(), [side] * len(a), a.tolist(), b.tolist())
+        path.append(min(steps))
+        eng.apply_merge(*path[-1][1:])
+    return path
+
+
+def delta_bits(path):
+    return [(np.float64(d).view(np.uint64), side, a, b) for d, side, a, b in path]
+
+
+@contextlib.contextmanager
+def merge_body(scan):
+    """Leave the merge loop's gate at its default (`scan`), or force the pair
+    matrices by patching `_SCALAR_MAX_K` to 0; yields the list of engines
+    that `_scanned_merges` ran on."""
+    scanned, engines = optimizer._scanned_merges, []
+
+    def counted(eng):
+        engines.append(eng)
+        return scanned(eng)
+
+    with mock.patch.object(_engine, "_SCALAR_MAX_K", _engine._SCALAR_MAX_K if scan else 0), \
+            mock.patch.object(optimizer, "_scanned_merges", counted):
+        yield engines
+    assert scan or not engines
+
+
+def assert_merge_paths_agree(model):
+    """The scanned and pair-matrix merge loops yield the exhaustive scan's
+    (delta, side, a, b) sequence bit for bit, and give the same dendrogram
+    and `gbum` model; returns whether the scan ran, and the path."""
+    runs = {}
+    for scan in (True, False):
+        with merge_body(scan) as engines:
+            path = list(_merges(Engine(model)))
+            dend = json.dumps(build_dendrogram(model).to_dict(), sort_keys=True)
+            merged = gbum(model)
+        runs[scan] = (delta_bits(path), dend, merged.source_assignment.tolist(), merged.target_assignment.tolist())
+        if scan:
+            scanned = len(engines) == 3
+            assert len(engines) in (0, 3)
+    assert runs[True] == runs[False]
+    want = exhaustive_merges(model)
+    assert runs[True][0] == delta_bits(want)
+    assert len(want) == model.k_source + model.k_target - 2
+    return scanned, want
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(sample=skewed_samples(), seed=st.integers(0, 2**32 - 1))
+def test_scanned_and_matrix_merge_paths_agree_bit_for_bit(sample, seed):
+    # the scan takes every start of fewer than 8 clusters per side
+    for model in (maximal_model(sample), initial_solution(sample, 7, seed)):
+        scanned, _ = assert_merge_paths_agree(model)
+        assert scanned == (max(model.k_source, model.k_target) < 8)
+
+
+def test_scanned_and_matrix_merge_paths_agree_at_k7(block_sample):
+    for seed in range(3):
+        model = initial_solution(block_sample, 7, seed=seed)
+        assert model.k_source == model.k_target == 7
+        assert assert_merge_paths_agree(model)[0]
+
+
+def test_scanned_merges_break_exact_ties_in_side_a_b_order():
+    # every cell 3 on a 4x4 sample: all 12 pairs of the maximal model, on
+    # both sides, tie exactly, and the first in (side, a, b) order wins
+    cells = {(i, j): 3 for i in range(4) for j in range(4)}
+    sample = MultigraphSample([f"s{i}" for i in range(4)], [f"t{j}" for j in range(4)], cells)
+    model = maximal_model(sample)
+    eng = Engine(model)
+    a, b = np.triu_indices(4, 1)
+    first = {side: eng.merge_struct(side, a, b) + eng.merge_global(side) for side in ("source", "target")}
+    assert len(set(np.concatenate(list(first.values())).view(np.uint64).tolist())) == 1
+    scanned, path = assert_merge_paths_agree(model)
+    assert scanned
+    assert path[0][1:] == ("source", 0, 1)
 
 
 def test_count_change_equals_a_fresh_computation(block_sample, monkeypatch):

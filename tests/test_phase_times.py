@@ -34,11 +34,13 @@ def test_phase_times_batch_prints_the_mean_seconds_per_fit():
     fitted, raised = int(head[5]), int(head[7])
     assert fitted + raised == 12 and fitted > 0
     assert lines[1] == "mean seconds per fit:"
-    rows = dict(line.rsplit(None, 1) for line in lines[2:-1])
+    rows = dict(line.rsplit(None, 1) for line in lines[2:-2])
     assert [name.strip() for name in rows] == ["parse", *PHASES, "outside rounds"]
     assert all(float(v) >= 0.0 for v in rows.values())
-    # the untimed counting pass: these small fits score moves, mostly in the scalar body
-    head, _, share = lines[-1].partition(", scalar body ")
-    assert head.startswith("mean move scorings per fit: ")
-    assert float(head.rsplit(None, 1)[1]) > 0.0
-    assert share.endswith("%") and 50.0 < float(share[:-1]) <= 100.0
+    # the untimed counting pass: these small fits score moves mostly in the
+    # scalar body, and take most merge phases by the scan
+    for line, what, name in ((lines[-2], "move scorings", "scalar body"), (lines[-1], "merge phases", "scan")):
+        head, _, share = line.partition(f", {name} ")
+        assert head.startswith(f"mean {what} per fit: ")
+        assert float(head.rsplit(None, 1)[1]) > 0.0
+        assert share.endswith("%") and 50.0 < float(share[:-1]) <= 100.0

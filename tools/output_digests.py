@@ -33,6 +33,9 @@ or C library can round a float differently and so change a digest.  The outputs 
   paths wrote the same bytes;
 - `vns_fit(rounds=3).to_dict()` on the 800 fit-batch graphs of seeds 1-2,
   one digest per seed over all graphs in order;
+- `build_dendrogram(initial_solution(sample, 7, seed=0)).to_dict()` on the
+  same graphs, one digest per seed: the merge path from a start of at most
+  7 clusters per side, which the merge loop's scalar scan takes;
 - the cut file of `modlcc coarsen` on the explore input, seeds 1-3, and
   the same document without the `delta` of each `merge_path` entry, so
   that a change which moves only the rounding of the deltas shows as such;
@@ -73,7 +76,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import inputs  # noqa: E402
-from modlcc import Coclustering, FitConfig, build_dendrogram, optimizer, parse_edge_list, vns_fit  # noqa: E402
+from modlcc import (Coclustering, FitConfig, build_dendrogram, initial_solution, optimizer,  # noqa: E402
+                    parse_edge_list, vns_fit)
 from modlcc.cli import main as cli_main  # noqa: E402
 from modlcc.model import model_header  # noqa: E402
 from modlcc.synthgen import gen_block_diagonal, gen_blockmodel  # noqa: E402
@@ -342,11 +346,14 @@ def main():
               f"same as modlcc fit: {alone == pooled}", flush=True)
         for seed in (1, 2):
             graphs, _ = inputs.batch_graphs(seed, BATCH_GRAPHS)
-            h = hashlib.sha256()
+            h, dend = hashlib.sha256(), hashlib.sha256()
             for g in graphs:
                 sample = parse_edge_list(g.text, unify=g.unify)
                 h.update(doc_bytes(vns_fit(sample, FitConfig(rounds=inputs.BATCH_ROUNDS, seed=0))))
+                path = build_dendrogram(initial_solution(sample, 7, seed=0)).to_dict()
+                dend.update(json.dumps(path, sort_keys=True).encode())
             print(f"fit-batch seed {seed}: {h.hexdigest()}", flush=True)
+            print(f"fit-batch seed {seed} dendrogram of a 7-cluster start: {dend.hexdigest()}", flush=True)
         for seed in (1, 2, 3):
             (edges, model), _ = inputs.explore_input(seed, work)
             out = os.path.join(work, "cut.json")

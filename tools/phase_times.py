@@ -24,24 +24,37 @@ seed 0, in process, a raising graph counted and skipped).  It prints the
 mean seconds per successful fit of the parse, of each phase summed over
 the fit's rounds, and of the fit's time outside its rounds.  A second,
 untimed pass fits the same graphs with the two bodies of
-`Engine._move_deltas` wrapped to count their calls, and prints the mean
-move scorings per successful fit and the share that took the scalar body.
+`Engine._move_deltas`, the merge loop `optimizer._merges` and its scan
+`optimizer._scanned_merges` wrapped to count their calls.  It prints the
+mean move scorings per successful fit and the share that took the scalar
+body, then the mean merge phases per successful fit and the share that
+took the scan.
 """
 
 import argparse
 import collections
+import contextlib
 import os
 import statistics
 import sys
 import tempfile
 import time
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import inputs  # noqa: E402
-from modlcc import FitConfig, parse_edge_list, vns_fit  # noqa: E402
+from modlcc import FitConfig, optimizer, parse_edge_list, vns_fit  # noqa: E402
 from modlcc._engine import Engine  # noqa: E402
+
+# what the counting pass wraps: kind -> (owner, attribute)
+COUNTED = {
+    "scalar": (Engine, "_move_deltas_scalar"),
+    "array": (Engine, "_move_deltas_array"),
+    "merges": (optimizer, "_merges"),
+    "scan": (optimizer, "_scanned_merges"),
+}
 
 FIELDS = f"{'wall s':>8} {'passes':>6} {'moves':>6} {'merges':>6} {'conv':>4}"
 
@@ -73,39 +86,35 @@ def batch_phases(seed: int, count: int):
     print("mean seconds per fit:")
     for name, total in totals.items():
         print(f"{name:>15} {total / max(fits, 1):.6f}")
-    scalar, total = move_scorings(graphs)
-    share = f"{scalar / total:.2%}" if total else "-"
-    print(f"mean move scorings per fit: {total / max(fits, 1):.1f}, scalar body {share}")
+    calls = counted_calls(graphs)
+    moves = calls["scalar"] + calls["array"]
+    for what, total, part, name in (("move scorings", moves, calls["scalar"], "scalar body"),
+                                    ("merge phases", calls["merges"], calls["scan"], "scan")):
+        share = f"{part / total:.2%}" if total else "-"
+        print(f"mean {what} per fit: {total / max(fits, 1):.1f}, {name} {share}")
 
 
-def move_scorings(graphs):
-    """(scalar body calls, all calls) of `Engine._move_deltas` over the
-    successful fits of `graphs`, counted by wrapping its two bodies."""
-    calls = collections.Counter()
-    bodies = {body: getattr(Engine, f"_move_deltas_{body}") for body in ("scalar", "array")}
+def counted_calls(graphs):
+    """Calls of each `COUNTED` kind over the successful fits of `graphs`."""
+    calls, total = collections.Counter(), collections.Counter()
 
-    def counted(body):
-        def run(eng, side, v, profile):
-            calls[body] += 1
-            return bodies[body](eng, side, v, profile)
+    def counted(kind, fn):
+        def run(*args):
+            calls[kind] += 1
+            return fn(*args)
         return run
 
-    scalar = total = 0
-    try:
-        for body in bodies:
-            setattr(Engine, f"_move_deltas_{body}", counted(body))
+    with contextlib.ExitStack() as stack:
+        for kind, (owner, name) in COUNTED.items():
+            stack.enter_context(mock.patch.object(owner, name, counted(kind, getattr(owner, name))))
         for g in graphs:
             calls.clear()
             try:
                 vns_fit(parse_edge_list(g.text, unify=g.unify), FitConfig(rounds=inputs.BATCH_ROUNDS, seed=0))
             except Exception:
                 continue
-            scalar += calls["scalar"]
-            total += calls["scalar"] + calls["array"]
-    finally:
-        for body, method in bodies.items():
-            setattr(Engine, f"_move_deltas_{body}", method)
-    return scalar, total
+            total.update(calls)
+    return total
 
 
 def main():
