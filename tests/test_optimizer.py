@@ -18,8 +18,8 @@ from modlcc import _engine, cli, optimizer
 from modlcc._engine import OTHER_SIDE, Engine
 from modlcc.combinatorics import CombinatoricsCache
 from modlcc.graph import MultigraphSample
-from modlcc.model import Coclustering, maximal_model, null_model
 from modlcc.hierarchy import build_dendrogram
+from modlcc.model import Coclustering, maximal_model, null_model
 from modlcc.optimizer import FitConfig, _merges, _post_opt, _sweep, gbum, initial_solution, post_optimize, vns_fit
 from modlcc.synthgen import gen_block_diagonal, gen_undirected_pattern
 
