@@ -126,12 +126,6 @@ class Engine:
         s.lf_margin[c], s.lf_sizes[c] = lf_mc, at(nc)
         s.prior[c] = at(mc + nc - 1) - at(nc - 1) - lf_mc
 
-    # -- shared tables ------------------------------------------------------
-
-    def _lnC(self, n, k):
-        lf = self.lf
-        return lf[n] - lf[k] - lf[n - k]
-
     # -- views ---------------------------------------------------------------
 
     def rows(self, side):
@@ -147,7 +141,8 @@ class Engine:
         kE = src.k * tgt.k
         t1 = math.log(src.n) + math.log(tgt.n)
         t2 = src.log_partitions.item(src.k - 1) + tgt.log_partitions.item(tgt.k - 1)
-        t3 = float(self._lnC(self.m + kE - 1, kE - 1))
+        # lnC(m + kE - 1, kE - 1)
+        t3 = float(lf[self.m + kE - 1] - lf[kE - 1] - lf[self.m])
         t4 = float(src.prior.sum())
         t5 = float(tgt.prior.sum())
         t6 = float(lf[self.m] - lf[self.M].sum())
@@ -168,20 +163,12 @@ class Engine:
     def merge_struct(self, side, a, b):
         """k-independent part of the merge delta (margin priors + likelihood).
 
-        a and b are two clusters, or two equal-length arrays of clusters; an
-        array of pairs comes back as an array of deltas, each scored with
-        the arithmetic of a single pair.  Raises ValueError unless each pair
-        is two distinct clusters of `side`; the merge loop, whose pairs are
-        the finite entries of its pair matrices, scores with the unchecked
-        `_merge_struct`.
+        a and b are two distinct clusters of `side`, or two equal-length
+        arrays of such pairs; an array of pairs comes back as an array of
+        deltas, each scored with the arithmetic of a single pair.  The pairs
+        are not checked: `Coclustering.merge` checks its pair, and the merge
+        loop's pairs are the finite entries of its pair matrices.
         """
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        if not np.all((0 <= lo) & (lo < hi) & (hi < self.sides[side].k)):
-            raise ValueError(f"invalid cluster pair ({a}, {b}) on {side} side")
-        return self._merge_struct(side, a, b)
-
-    def _merge_struct(self, side, a, b):
-        """`merge_struct` of valid pairs, unchecked."""
         s = self.sides[side]
         lf = self.lf
         M = self.rows(side)
@@ -216,7 +203,7 @@ class Engine:
 
     # -- vertex moves -------------------------------------------------------------
 
-    def vertex_profiles(self, side, cells=slice(None)):
+    def vertex_profiles(self, side):
         """(cols, cnts, gain) profile of every vertex on `side`, in one pass over its edges.
 
         The pass sorts one (vertex, other-side cluster) key per cell and sums
@@ -230,23 +217,21 @@ class Engine:
         while the other side's partition is unchanged, as during a sweep
         over `side`.  gain is None, or (table, offsets) with
         table[offsets[i] + x] == lf[x] - lf[x + cnts[i]] for every count x
-        that a destination cell can hold, so that `move_options` reads each
+        that a destination cell can hold, so that `_move_deltas` reads each
         likelihood term with one lookup in place of two.  The table is built
-        when it is smaller than the move blocks it serves.  `cells` selects
-        the sample cells to read: all of them, or for example one vertex's
-        own cells, whose profile alone is then complete.
+        when it is smaller than the move blocks it serves.
         """
         s, o = self.sides[side], self.sides[OTHER_SIDE[side]]
         cap = self.rows(side).shape[1]
         # one key per (vertex, other-side cluster), each run of equal keys summed
-        keys = s.idx[cells] * cap + o.assign[o.idx[cells]]
+        keys = s.idx * cap + o.assign[o.idx]
         order = keys.argsort()
         keys = keys[order]
         first = np.empty(len(keys), dtype=bool)  # where each run of equal keys starts
         first[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        cnts = np.add.reduceat(self.sample.counts[cells][order], starts)
+        cnts = np.add.reduceat(self.sample.counts[order], starts)
         keys = keys[starts]
         cols = keys % cap
         gain = self._gain_table(side, cnts)
@@ -265,7 +250,7 @@ class Engine:
         x + c <= width - 1 below.
         """
         width = int(self.sides[OTHER_SIDE[side]].margin.max()) + 1
-        rows = int(cnts.max(initial=0))  # 0 for a selection of no cells
+        rows = int(cnts.max())
         if rows * width > min(len(cnts) * self.sides[side].k, _GAIN_TABLE_MAX):
             return None
         x = np.arange(width)
@@ -394,20 +379,6 @@ class Engine:
         deltas = base + d6[:k] + d7 + d4
         deltas[a] = np.inf
         return deltas
-
-    def move_options(self, side, v, profile):
-        """Deltas of moving vertex v to every other cluster on `side`.
-
-        `profile` is v's entry of `vertex_profiles`.  Returns (current
-        cluster, destination clusters, delta array).
-        """
-        s = self.sides[side]
-        a = s.assign[v]
-        others = np.flatnonzero(np.arange(s.k) != a)
-        if len(others) == 0:
-            return a, others, np.empty(0)
-        deltas = self._move_deltas(side, v, profile)
-        return a, others, deltas[others]
 
     def apply_move(self, side, v, dest, profile):
         """Move vertex v into `dest`, another cluster on `side`.

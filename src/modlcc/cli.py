@@ -275,7 +275,7 @@ def cmd_coarsen(args) -> int:
     cut_model = cut(dend, ks, kt)
     doc = cut_model.to_dict(seed=args.seed)
     doc["requested_clusters"] = [ks, kt]
-    doc["merge_path"] = dend.to_dict()["merges"]
+    doc["merge_path"] = [rec.to_dict() for rec in dend.merges]
     if args.output:
         _write_text(args.output, _json_text(doc))
     print(f"cut at {cut_model.k_source} x {cut_model.k_target} "
@@ -323,8 +323,6 @@ def cmd_evaluate(args) -> int:
     report.modl_mi = mi_full
     report.modl_mi_likelihood = mi_lh
     if args.modularity:
-        if not sample.unified:
-            raise ValueError("modularity requires a unified vertex space")
         report.modularity = modularity(sample, model.source_assignment)
     doc = report.to_dict()
     doc["units"] = "nats"

@@ -269,9 +269,7 @@ class Coclustering:
 def _move_delta(model: Coclustering, side: str, vertex: int, dest: int) -> float:
     """Delta of moving `vertex` into the existing cluster `dest`, scored as a sweep scores it."""
     eng = Engine(model)
-    own = np.flatnonzero(eng.sides[side].idx == vertex)
-    _, dests, deltas = eng.move_options(side, vertex, eng.vertex_profiles(side, own)[vertex])
-    return float(deltas[dests == dest][0])
+    return float(eng._move_deltas(side, vertex, eng.vertex_profiles(side)[vertex])[dest])
 
 
 def model_header(data) -> tuple[list[str], list[str], bool]:

@@ -213,8 +213,8 @@ def _best_merge(eng: Engine, D: dict) -> tuple:
     The pair deltas in D carry rounding from their update history, so exact
     ties could fall either way.  Every pair within a relative 1e-9 of the
     best (far above that rounding) is scored again from the counts, one
-    call of the unchecked `Engine._merge_struct` per side (the finite
-    entries of D are valid pairs), and the first minimum in (side, a, b)
+    call of `Engine.merge_struct` per side (the finite entries of D are
+    valid pairs), and the first minimum in (side, a, b)
     order wins ("source" sorts first), as in a scan over all pairs; the
     returned delta is that fresh value.
     """
@@ -228,7 +228,7 @@ def _best_merge(eng: Engine, D: dict) -> tuple:
     for side, (v, g) in low.items():
         if v + g <= lim:
             a, b = np.divmod(np.flatnonzero(D[side] <= lim - g), len(D[side]))
-            deltas = eng._merge_struct(side, a, b) + g
+            deltas = eng.merge_struct(side, a, b) + g
             i = int(deltas.argmin())
             near.append((float(deltas[i]), side, int(a[i]), int(b[i])))
     return min(near)
@@ -239,7 +239,7 @@ def _scanned_merges(eng: Engine):
     clusters per side.
 
     Each step scores every pair (side, a, b) in that order with the IEEE
-    operations of `Engine._merge_struct` in their order, then adds
+    operations of `Engine.merge_struct` in their order, then adds
     `Engine.merge_global`, and keeps the first minimum: the sequence that
     `_best_merge` emulates, bit for bit.  A pair's row sum folds left from
     0.0 over the other side's clusters, as NumPy sums fewer than 8 terms.

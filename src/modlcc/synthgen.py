@@ -83,10 +83,10 @@ def gen_circular(n: int, m: int, seed) -> tuple[MultigraphSample, np.ndarray]:
     p = circular_probability_table(n)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(m, p.ravel()).reshape(n, n)
-    src_nz, tgt_nz = np.nonzero(counts)
-    reps = counts[src_nz, tgt_nz]
-    sample = _sample_from_cells(n, np.repeat(src_nz, reps), np.repeat(tgt_nz, reps))
-    return sample, p
+    # the nonzero cells, in row-major order, are the sample's own
+    src, tgt = np.nonzero(counts)
+    labels = _labels(n)
+    return MultigraphSample(labels, labels, (src, tgt, counts[src, tgt]), unified=True), p
 
 
 def _block_assignment(n: int, k: int) -> np.ndarray:

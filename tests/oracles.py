@@ -214,16 +214,16 @@ def ix_profile(eng, side, v):
     return cols, dense[cols]
 
 
-def unique_vertex_profiles(eng, side, cells=slice(None)):
+def unique_vertex_profiles(eng, side):
     """`Engine.vertex_profiles` with its (vertex, cluster) keys grouped by
     `np.unique(return_inverse=True)` and summed by an int64 `np.add.at`;
     the gain table comes from the engine's own `_gain_table`."""
     s = eng.sides[side]
     o = eng.sides["target" if side == "source" else "source"]
     cap = o.k
-    keys, inverse = np.unique(s.idx[cells] * cap + o.assign[o.idx[cells]], return_inverse=True)
+    keys, inverse = np.unique(s.idx * cap + o.assign[o.idx], return_inverse=True)
     cnts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(cnts, inverse, eng.sample.counts[cells])
+    np.add.at(cnts, inverse, eng.sample.counts)
     cols = keys % cap
     gain = eng._gain_table(side, cnts)
     ptr = np.searchsorted(keys, np.arange(s.n + 1, dtype=np.int64) * cap)

@@ -160,7 +160,7 @@ def test_near_ties_are_scored_in_one_call_per_side(monkeypatch):
     source = np.random.default_rng(0).integers(0, 5, sample.n_source)
     source[:5] = np.arange(5)
     calls, pairs = [], []
-    merge_struct, best_merge = Engine._merge_struct, optimizer._best_merge
+    merge_struct, best_merge = Engine.merge_struct, optimizer._best_merge
 
     def counted_merge_struct(eng, side, a, b):
         calls[-1] += 1
@@ -171,7 +171,7 @@ def test_near_ties_are_scored_in_one_call_per_side(monkeypatch):
         calls.append(0)
         return best_merge(eng, D)
 
-    monkeypatch.setattr(Engine, "_merge_struct", counted_merge_struct)
+    monkeypatch.setattr(Engine, "merge_struct", counted_merge_struct)
     monkeypatch.setattr(optimizer, "_best_merge", counted_best_merge)
     dend = build_dendrogram(Coclustering(sample, source, np.arange(sample.n_target)))
     assert len(calls) == len(dend.merges) > 250

@@ -186,10 +186,11 @@ def test_move_to_own_cluster_is_noop():
 
 def test_merge_rejects_bad_ids():
     model = clustered_example()
-    with pytest.raises(ModelError):
-        model.merge("source", 0, 0)
-    with pytest.raises(ModelError):
-        model.merge("target", 0, 5)
+    for side, k in (("source", model.k_source), ("target", model.k_target)):
+        # a == b, an id of k or more, and a negative id in either position
+        for a, b in ((0, 0), (1, 1), (0, k), (k, 1), (0, 5), (-1, 1), (1, -2)):
+            with pytest.raises(ModelError, match=f"invalid {side} cluster pair"):
+                model.merge(side, a, b)
 
 
 def test_side_names_are_checked():

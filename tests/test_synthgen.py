@@ -6,6 +6,7 @@ from modlcc.synthgen import (
     GeneratorSpec,
     TABLE_BLOCKMODEL_MATRIX,
     TABLE_BLOCKMODEL_SIZES,
+    _sample_from_cells,
     circular_probability_table,
     gen_block_diagonal,
     gen_blockmodel,
@@ -32,6 +33,22 @@ def test_circular_sample_counts():
     assert sample.n_source == sample.n_target == 50
     assert sample.unified
     assert p.shape == (50, 50)
+
+
+@pytest.mark.parametrize("n, m, seed", [(2, 1, 0), (7, 40, 1), (30, 5000, 2), (120, 3000, 3)])
+def test_circular_sample_equals_its_edge_expansion(n, m, seed):
+    """The multinomial's cells, passed to the sample as they are, give the
+    sample of the m edges they expand to."""
+    sample, p = gen_circular(n, m, seed)
+    counts = np.random.default_rng(seed).multinomial(m, p.ravel()).reshape(n, n)
+    src, tgt = np.nonzero(counts)
+    reps = counts[src, tgt]
+    want = _sample_from_cells(n, np.repeat(src, reps), np.repeat(tgt, reps))
+    for name in ("src_idx", "tgt_idx", "counts", "out_degrees", "in_degrees"):
+        got, expected = getattr(sample, name), getattr(want, name)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert sample.source_labels == want.source_labels and sample.target_labels == want.target_labels
+    assert sample.m == want.m == m and sample.unified and want.unified
 
 
 def test_circular_empirical_frequencies_track_table():
