@@ -36,6 +36,10 @@ or C library can round a float differently and so change a digest.  The outputs 
 - `build_dendrogram(initial_solution(sample, 7, seed=0)).to_dict()` on the
   same graphs, one digest per seed: the merge path from a start of at most
   7 clusters per side, which the merge loop's scalar scan takes;
+- the model files of `gbum`, `post_optimize` and a fixed chain of
+  `Coclustering.merge` and `move` edits (`edit_chain`) from the same
+  starts, with each edit's delta, one digest per seed: the public paths
+  that turn an edited engine or partition back into a model;
 - the cut file of `modlcc coarsen` on the explore input, seeds 1-3, and
   the same document without the `delta` of each `merge_path` entry, so
   that a change which moves only the rounding of the deltas shows as such;
@@ -76,8 +80,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import inputs  # noqa: E402
-from modlcc import (Coclustering, FitConfig, build_dendrogram, initial_solution, optimizer,  # noqa: E402
-                    parse_edge_list, vns_fit)
+from modlcc import (NEW_CLUSTER, Coclustering, FitConfig, build_dendrogram, gbum,  # noqa: E402
+                    initial_solution, optimizer, parse_edge_list, post_optimize, vns_fit)
 from modlcc.cli import main as cli_main  # noqa: E402
 from modlcc.model import model_header  # noqa: E402
 from modlcc.synthgen import gen_block_diagonal, gen_blockmodel  # noqa: E402
@@ -260,6 +264,24 @@ def doc_bytes(fit) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
+def edit_chain(model) -> bytes:
+    """Model files and deltas of a fixed chain of public edits on each side:
+    fuse the first and last clusters, move the last vertex into a new
+    cluster, the first vertex into the cluster after its own and the last
+    vertex into cluster 0, which can empty the cluster it leaves."""
+    out = []
+    for side in ("source", "target"):
+        k, last = getattr(model, f"k_{side}"), len(getattr(model, f"{side}_assignment")) - 1
+        edits = [("merge", 0, k - 1)] if k > 1 else []
+        edits += [("move", last, NEW_CLUSTER), ("move", 0, None), ("move", last, 0)]
+        for kind, x, y in edits:
+            if y is None:
+                y = (int(getattr(model, f"{side}_assignment")[0]) + 1) % getattr(model, f"k_{side}")
+            model, delta = getattr(model, kind)(side, x, y)
+            out.append(doc_bytes(model) + repr(delta).encode())
+    return b"\n".join(out)
+
+
 def cli_file(argv: list[str], out_path: str) -> bytes:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(argv)
@@ -347,13 +369,20 @@ def main():
         for seed in (1, 2):
             graphs, _ = inputs.batch_graphs(seed, BATCH_GRAPHS)
             h, dend = hashlib.sha256(), hashlib.sha256()
+            edits = {name: hashlib.sha256() for name in ("gbum", "post_optimize", "merge/move chain")}
             for g in graphs:
                 sample = parse_edge_list(g.text, unify=g.unify)
                 h.update(doc_bytes(vns_fit(sample, FitConfig(rounds=inputs.BATCH_ROUNDS, seed=0))))
-                path = build_dendrogram(initial_solution(sample, 7, seed=0)).to_dict()
+                start = initial_solution(sample, 7, seed=0)
+                path = build_dendrogram(start).to_dict()
                 dend.update(json.dumps(path, sort_keys=True).encode())
+                edits["gbum"].update(doc_bytes(gbum(start)))
+                edits["post_optimize"].update(doc_bytes(post_optimize(start)))
+                edits["merge/move chain"].update(edit_chain(start))
             print(f"fit-batch seed {seed}: {h.hexdigest()}", flush=True)
             print(f"fit-batch seed {seed} dendrogram of a 7-cluster start: {dend.hexdigest()}", flush=True)
+            for name, digest in edits.items():
+                print(f"fit-batch seed {seed} {name} of a 7-cluster start: {digest.hexdigest()}", flush=True)
         for seed in (1, 2, 3):
             (edges, model), _ = inputs.explore_input(seed, work)
             out = os.path.join(work, "cut.json")
