@@ -15,7 +15,7 @@ cell arrays directly, with no second copy of the edges.  `Engine.rows(side)` is 
 view M.T for targets, so every operation reads its own side's clusters
 along axis 0 and is written once for both sides.  An engine starts from a
 `Coclustering`'s grid, sizes and margins; it never counts the sample
-itself.  All criterion deltas are computed from log-factorial table
+itself, and `Coclustering._from_engine` hands its counts back as a model.  All criterion deltas are computed from log-factorial table
 lookups, so incremental and full evaluations agree to rounding.
 """
 
@@ -402,9 +402,3 @@ class Engine:
             self._delete(side, a)
         else:
             self._refresh(s, a)
-
-    # -- export -------------------------------------------------------------------
-
-    def assignments(self):
-        """Copies of the (source, target) assignments."""
-        return self.sides["source"].assign.copy(), self.sides["target"].assign.copy()

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._engine import Engine
-from .model import Coclustering
+from .model import Coclustering, CriterionBreakdown
 from .optimizer import _merges
 
 __all__ = ["MergeRecord", "Dendrogram", "build_dendrogram", "cut"]
@@ -47,7 +45,9 @@ def build_dendrogram(model: Coclustering) -> Dendrogram:
     merge-optimal).
     """
     eng = Engine(model)
-    total = eng.criterion_total()
+    # the input's criterion, scored once here for the records and `Dendrogram.to_dict`
+    model._criterion = CriterionBreakdown.from_terms(eng.criterion_terms())
+    total = model._criterion.total
     merges: list[MergeRecord] = []
     for delta, side, a, b in _merges(eng):
         # delta is scored afresh from the counts, not read from the merge
@@ -70,14 +70,10 @@ def cut(dendrogram: Dendrogram, target_source_clusters: int, target_target_clust
         raise ValueError(f"target source clusters must be in 1..{model.k_source}")
     if not (1 <= target_target_clusters <= model.k_target):
         raise ValueError(f"target target clusters must be in 1..{model.k_target}")
-    assign = {"source": model.source_assignment.copy(), "target": model.target_assignment.copy()}
-    k = {"source": model.k_source, "target": model.k_target}
+    eng = Engine(model)
+    s, t = eng.sides["source"], eng.sides["target"]
     for rec in dendrogram.merges:
-        if k["source"] <= target_source_clusters and k["target"] <= target_target_clusters:
+        if s.k <= target_source_clusters and t.k <= target_target_clusters:
             break
-        # fuse b into a (a < b), then close the gap so ids stay 0..k-1
-        x = assign[rec.side]
-        x[x == rec.b] = rec.a
-        x -= x > rec.b
-        k[rec.side] -= 1
-    return Coclustering(model.sample, assign["source"], assign["target"])
+        eng.apply_merge(rec.side, rec.a, rec.b)
+    return Coclustering._from_engine(eng)

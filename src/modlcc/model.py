@@ -81,16 +81,16 @@ class CriterionBreakdown:
         return {name: getattr(self, name) for name in _TERM_NAMES + ("total",)}
 
 
-def _normalize_partition(partition, labels, n, what) -> np.ndarray:
-    """Accept an assignment array or an iterable of clusters (labels/indices)."""
+def _normalize_partition(partition, labels, n, what) -> tuple[np.ndarray, np.ndarray]:
+    """(assignment, cluster sizes) of an assignment array or an iterable of clusters."""
     part = partition if isinstance(partition, np.ndarray) else list(partition)
     if len(part) and isinstance(part[0], (list, tuple, set, frozenset)):
         label_index = {lab: i for i, lab in enumerate(labels)}
         assign = -np.ones(n, dtype=np.int64)
         for cid, cluster in enumerate(part):
             for v in cluster:
-                idx = label_index[v] if isinstance(v, str) else int(v)
-                if not 0 <= idx < n:
+                idx = label_index.get(v, -1) if isinstance(v, str) else v
+                if not _is_id(idx, n):
                     raise ModelError(f"{what} vertex {v!r} out of range")
                 if assign[idx] != -1:
                     raise ModelError(f"{what} vertex {v!r} assigned twice")
@@ -105,15 +105,14 @@ def _normalize_partition(partition, labels, n, what) -> np.ndarray:
     if np.any(assign < 0):
         raise ModelError(f"{what} partition does not cover every vertex")
     # n vertices fill at most n clusters: a larger id leaves one empty
-    k = int(assign.max()) + 1
-    if k > n or np.any(np.bincount(assign, minlength=k) == 0):
+    if assign.max() >= n or not np.all(sizes := np.bincount(assign)):
         raise ModelError(f"{what} partition has an empty cluster")
-    return assign
+    return assign, sizes
 
 
-def _check_side(side):
-    if side not in ("source", "target"):
-        raise ModelError(f"side must be 'source' or 'target', got {side!r}")
+def _is_id(x, bound) -> bool:
+    """Whether x is an integer id in 0..bound-1; floats, bools and strs are not ids."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < bound
 
 
 class Coclustering:
@@ -121,16 +120,14 @@ class Coclustering:
 
     def __init__(self, sample: MultigraphSample, source_assignment, target_assignment):
         self.sample = sample
-        self.source_assignment = _normalize_partition(
+        self.source_assignment, self.source_cluster_sizes = _normalize_partition(
             source_assignment, sample.source_labels, sample.n_source, "source"
         )
-        self.target_assignment = _normalize_partition(
+        self.target_assignment, self.target_cluster_sizes = _normalize_partition(
             target_assignment, sample.target_labels, sample.n_target, "target"
         )
-        self.k_source = int(self.source_assignment.max()) + 1
-        self.k_target = int(self.target_assignment.max()) + 1
-        self.source_cluster_sizes = np.bincount(self.source_assignment, minlength=self.k_source)
-        self.target_cluster_sizes = np.bincount(self.target_assignment, minlength=self.k_target)
+        self.k_source = len(self.source_cluster_sizes)
+        self.k_target = len(self.target_cluster_sizes)
 
         flat = (
             self.source_assignment[sample.src_idx] * self.k_target
@@ -141,6 +138,26 @@ class Coclustering:
         self.source_cluster_margins = grid.sum(axis=1)
         self.target_cluster_margins = grid.sum(axis=0)
         self._criterion: CriterionBreakdown | None = None
+
+    @classmethod
+    def _from_engine(cls, eng: Engine) -> "Coclustering":
+        """The model of `eng`'s partition, from copies of its counts: an engine's
+        ids are compact and its counts exact, so nothing is checked or counted again."""
+        model = cls.__new__(cls)
+        model.sample, model._criterion = eng.sample, None
+        for side, s in eng.sides.items():
+            setattr(model, f"{side}_assignment", s.assign.copy())
+            setattr(model, f"k_{side}", s.k)
+            setattr(model, f"{side}_cluster_sizes", s.sizes.copy())
+            setattr(model, f"{side}_cluster_margins", s.margin.copy())
+        model.cocluster_grid = eng.M.copy()  # C order, as counted
+        return model
+
+    def _side(self, side: str) -> tuple[np.ndarray, int]:
+        """(assignment, cluster count) of `side`, "source" or "target"."""
+        if side not in ("source", "target"):
+            raise ModelError(f"side must be 'source' or 'target', got {side!r}")
+        return getattr(self, f"{side}_assignment"), getattr(self, f"k_{side}")
 
     def _cells(self) -> list[list[int]]:
         """[i, j, count] of every nonzero grid cell, in ascending (i, j) order."""
@@ -158,14 +175,13 @@ class Coclustering:
 
     def merge(self, side: str, a: int, b: int):
         """Fuse clusters a and b on `side`; returns (new model, criterion delta)."""
-        _check_side(side)
-        k = self.k_source if side == "source" else self.k_target
-        if a == b or not (0 <= a < k and 0 <= b < k):
+        k = self._side(side)[1]
+        if a == b or not (_is_id(a, k) and _is_id(b, k)):
             raise ModelError(f"invalid {side} cluster pair ({a}, {b})")
         eng = Engine(self)
         delta = eng.merge_struct(side, a, b) + eng.merge_global(side)
         eng.apply_merge(side, a, b)
-        return Coclustering(self.sample, *eng.assignments()), float(delta)
+        return Coclustering._from_engine(eng), float(delta)
 
     def move(self, side: str, vertex: int, dest):
         """Move a vertex to cluster `dest` (or NEW_CLUSTER); returns (model, delta).
@@ -173,31 +189,32 @@ class Coclustering:
         The delta is the sweeps' move delta.  A move into a fresh cluster is
         scored as minus the move back into the vertex's old cluster.
         """
-        _check_side(side)
-        n = self.sample.n_source if side == "source" else self.sample.n_target
-        k = self.k_source if side == "source" else self.k_target
-        if not 0 <= vertex < n:
-            raise ModelError(f"{side} vertex {vertex} out of range")
+        assign, k = self._side(side)
+        if not _is_id(vertex, len(assign)):
+            raise ModelError(f"invalid {side} vertex {vertex}")
         fresh = dest == NEW_CLUSTER
-        if not fresh and not 0 <= dest < k:
+        if not fresh and not _is_id(dest, k):
             raise ModelError(f"invalid {side} destination cluster {dest}")
-        assign = self.source_assignment if side == "source" else self.target_assignment
         a = int(assign[vertex])
         if not fresh and dest == a:
             return self, 0.0
-        new = assign.copy()
-        new[vertex] = k if fresh else dest
-        # close the gap that an emptied cluster leaves
-        new = np.unique(new, return_inverse=True)[1]
-        s, t = (new, self.target_assignment) if side == "source" else (self.source_assignment, new)
-        moved = Coclustering(self.sample, s, t)
-        if not fresh:
-            delta = _move_delta(self, side, vertex, dest)
-        elif np.count_nonzero(assign == a) > 1:
-            delta = -_move_delta(moved, side, vertex, a)
-        else:
-            delta = 0.0  # a singleton into a fresh cluster is a relabelling
-        return moved, delta
+        if fresh:
+            # the engine cannot open a cluster, so the fresh one is counted afresh
+            new = assign.copy()
+            new[vertex] = k
+            # close the gap that an emptied cluster leaves
+            new = np.unique(new, return_inverse=True)[1]
+            s, t = (new, self.target_assignment) if side == "source" else (self.source_assignment, new)
+            moved = Coclustering(self.sample, s, t)
+            if np.count_nonzero(assign == a) == 1:
+                return moved, 0.0  # a singleton into a fresh cluster is a relabelling
+        eng = Engine(moved if fresh else self)
+        profile = eng.vertex_profiles(side)[vertex]
+        deltas = eng._move_deltas(side, vertex, profile)
+        if fresh:
+            return moved, -float(deltas[a])
+        eng.apply_move(side, vertex, dest, profile)
+        return Coclustering._from_engine(eng), float(deltas[dest])
 
     # -- audits ---------------------------------------------------------------
 
@@ -214,10 +231,8 @@ class Coclustering:
             raise AuditError("consistency audit failed: vertex degrees differ")
 
     def clusters(self, side: str) -> list[list[str]]:
-        _check_side(side)
+        assign, k = self._side(side)
         labels = self.sample.source_labels if side == "source" else self.sample.target_labels
-        assign = self.source_assignment if side == "source" else self.target_assignment
-        k = self.k_source if side == "source" else self.k_target
         out: list[list[str]] = [[] for _ in range(k)]
         for idx, cid in enumerate(assign):
             out[cid].append(labels[idx])
@@ -264,12 +279,6 @@ class Coclustering:
 
     def __repr__(self):
         return f"Coclustering(k_source={self.k_source}, k_target={self.k_target}, m={self.sample.m})"
-
-
-def _move_delta(model: Coclustering, side: str, vertex: int, dest: int) -> float:
-    """Delta of moving `vertex` into the existing cluster `dest`, scored as a sweep scores it."""
-    eng = Engine(model)
-    return float(eng._move_deltas(side, vertex, eng.vertex_profiles(side)[vertex])[dest])
 
 
 def model_header(data) -> tuple[list[str], list[str], bool]:

@@ -339,7 +339,7 @@ def gbum(model: Coclustering) -> Coclustering:
     cluster merge until none improves the criterion."""
     eng = Engine(model)
     _gbum(eng)
-    return Coclustering(model.sample, *eng.assignments())
+    return Coclustering._from_engine(eng)
 
 
 # -- vertex-move post-optimization ----------------------------------------------
@@ -387,7 +387,7 @@ def post_optimize(model: Coclustering, passes: int = 2) -> Coclustering:
     """Greedy vertex-move sweeps, alternating sides with the other partition frozen."""
     eng = Engine(model)
     _post_opt(eng, passes)
-    return Coclustering(model.sample, *eng.assignments())
+    return Coclustering._from_engine(eng)
 
 
 # -- multi-start -------------------------------------------------------------------
@@ -414,7 +414,8 @@ def _round(sample, max_init, child):
     log("pre-opt", *_post_opt(eng, FitConfig.post_opt_passes))
     log("merges", merges=_gbum(eng))
     log("post-opt", *_post_opt(eng, FitConfig.post_opt_passes))
-    return phases, eng.assignments(), eng.criterion_terms(), time.perf_counter() - t0
+    assign = eng.sides["source"].assign, eng.sides["target"].assign
+    return phases, assign, eng.criterion_terms(), time.perf_counter() - t0
 
 
 def _initial_clusters(sample) -> int:

@@ -301,7 +301,7 @@ def ix_post_optimize(model, passes=2):
                     moved = True
         if not moved:
             break
-    return eng.assignments()
+    return eng.sides["source"].assign.copy(), eng.sides["target"].assign.copy()
 
 
 # -- the search's incremental caches, recomputed -------------------------------------

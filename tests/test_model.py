@@ -187,10 +187,23 @@ def test_move_to_own_cluster_is_noop():
 def test_merge_rejects_bad_ids():
     model = clustered_example()
     for side, k in (("source", model.k_source), ("target", model.k_target)):
-        # a == b, an id of k or more, and a negative id in either position
-        for a, b in ((0, 0), (1, 1), (0, k), (k, 1), (0, 5), (-1, 1), (1, -2)):
+        # a == b, an id of k or more, a negative id in either position, and
+        # ids that are not integers, which once raised a bare IndexError
+        for a, b in ((0, 0), (1, 1), (0, k), (k, 1), (0, 5), (-1, 1), (1, -2),
+                     (0.5, 1), (0, 1.0), (np.float64(0), 1), (True, 0)):
             with pytest.raises(ModelError, match=f"invalid {side} cluster pair"):
                 model.merge(side, a, b)
+
+
+def test_move_rejects_bad_ids():
+    model = clustered_example()
+    for side, k in (("source", model.k_source), ("target", model.k_target)):
+        for vertex in (-1, 7, 0.0, np.float64(1), True):
+            with pytest.raises(ModelError, match=f"invalid {side} vertex"):
+                model.move(side, vertex, 1)
+        for dest in (-1, k, 1.5, np.float64(1), False, "old"):
+            with pytest.raises(ModelError, match=f"invalid {side} destination cluster"):
+                model.move(side, 0, dest)
 
 
 def test_side_names_are_checked():
@@ -209,6 +222,10 @@ def test_partition_validation():
         Coclustering(sample, [0, 0, 0, 0, 0, 0, 2], [0] * 7)  # empty cluster 1
     with pytest.raises(ModelError):
         from_partitions(sample, [["A", "B"], ["A", "C", "D", "E", "F", "G"]], [VOCAB])
+    # a label the sample lacks and a float index, once a bare KeyError and a truncation
+    for cluster in (["C", "D", "E", "F", "G", "Z"], ["C", "D", "E", "F", 6.0]):
+        with pytest.raises(ModelError, match="^source vertex .* out of range$"):
+            from_partitions(sample, [["A", "B"], cluster], [VOCAB])
 
 
 # an assignment of floats, bools, strs or uints beyond int64 is rejected, not cast

@@ -18,8 +18,8 @@ from modlcc import _engine, cli, optimizer
 from modlcc._engine import OTHER_SIDE, Engine
 from modlcc.combinatorics import CombinatoricsCache
 from modlcc.graph import MultigraphSample
-from modlcc.hierarchy import build_dendrogram
-from modlcc.model import Coclustering, maximal_model, null_model
+from modlcc.hierarchy import build_dendrogram, cut
+from modlcc.model import NEW_CLUSTER, Coclustering, maximal_model, null_model
 from modlcc.optimizer import FitConfig, _merges, _post_opt, _sweep, gbum, initial_solution, post_optimize, vns_fit
 from modlcc.synthgen import gen_block_diagonal, gen_undirected_pattern
 
@@ -217,11 +217,58 @@ def assert_caches_match_recomputation(eng, D):
         assert pairs == list(combinations(range(k), 2))
         for a, b in pairs:
             assert D[side][a, b] == pytest.approx(eng.merge_struct(side, a, b), rel=1e-9, abs=1e-9)
-    rebuilt = Engine(Coclustering(eng.sample, *eng.assignments()))
+    rebuilt = Engine(Coclustering(eng.sample, eng.sides["source"].assign, eng.sides["target"].assign))
     assert np.array_equal(eng.M, rebuilt.M)
     for side in ("source", "target"):
         assert np.array_equal(eng.sides[side].margin, rebuilt.sides[side].margin)
         assert np.array_equal(eng.sides[side].sizes, rebuilt.sides[side].sizes)
+
+
+def assert_equals_its_recount(model):
+    """`model` equals `Coclustering(sample, *its assignments)` in its counts,
+    their dtypes and layout, its cells, its file and its criterion, bit for bit."""
+    fresh = Coclustering(model.sample, model.source_assignment, model.target_assignment)
+    assert (model.k_source, model.k_target) == (fresh.k_source, fresh.k_target)
+    for name in ("source_assignment", "target_assignment", "source_cluster_sizes", "target_cluster_sizes",
+                 "source_cluster_margins", "target_cluster_margins", "cocluster_grid"):
+        got, want = getattr(model, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert model.cocluster_grid.flags.c_contiguous
+    assert model._cells() == fresh._cells()
+    assert json.dumps(model.to_dict()) == json.dumps(fresh.to_dict())
+    bits = [np.array(dataclasses.astuple(m.criterion())).view(np.uint64) for m in (model, fresh)]
+    assert np.array_equal(*bits)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(sample=skewed_samples(), seed=st.integers(0, 2**32 - 1))
+def test_models_handed_back_by_the_engine_equal_a_recount(sample, seed):
+    rng = np.random.default_rng(seed)
+    start = initial_solution(sample, int(rng.integers(2, 12)), seed)
+    handed = [gbum(start), post_optimize(start)]
+    for side in ("source", "target"):
+        k, assign = getattr(start, f"k_{side}"), getattr(start, f"{side}_assignment")
+        v = int(rng.integers(len(assign)))
+        if k > 1:
+            a, b = rng.choice(k, 2, replace=False)
+            handed.append(start.merge(side, int(a), int(b))[0])
+            others = [c for c in range(k) if c != assign[v]]
+            handed.append(start.move(side, v, int(rng.choice(others)))[0])
+        handed.append(start.move(side, v, NEW_CLUSTER)[0])
+        # a singleton's move empties its cluster, and the ids above it move down
+        handed.append(maximal_model(sample).move(side, v, 0 if v else 1)[0])
+    dend = build_dendrogram(start)
+    handed.append(cut(dend, int(rng.integers(1, start.k_source + 1)), int(rng.integers(1, start.k_target + 1))))
+    handed.append(cut(dend, start.k_source, start.k_target))
+    # the hand-off copies: the engine's later edits leave the model as it was
+    eng = Engine(start)
+    handed.append(Coclustering._from_engine(eng))
+    for side in ("source", "target"):
+        if eng.sides[side].k > 1:
+            eng.apply_merge(side, 0, 1)
+    for model in handed:
+        assert_equals_its_recount(model)
+    assert np.array_equal(handed[-1].cocluster_grid, start.cocluster_grid)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
