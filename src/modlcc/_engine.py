@@ -14,9 +14,9 @@ merge deltas and the criterion read them.  The sweeps read the sample's
 cell arrays directly, with no second copy of the edges.  `Engine.rows(side)` is M for sources and the
 view M.T for targets, so every operation reads its own side's clusters
 along axis 0 and is written once for both sides.  An engine starts from a
-`Coclustering`'s grid, sizes and margins; it never counts the sample
-itself, and `Coclustering._from_engine` hands its counts back as a model.  All criterion deltas are computed from log-factorial table
-lookups, so incremental and full evaluations agree to rounding.
+`Coclustering`'s counts, hands its own back (`Coclustering._from_engine`)
+and never counts the sample itself.  All criterion deltas are computed from
+log-factorial table lookups, so incremental and full evaluations agree to rounding.
 """
 
 from __future__ import annotations

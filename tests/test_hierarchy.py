@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modlcc import optimizer
+from modlcc import model as model_module, optimizer
 from modlcc._engine import Engine
 from modlcc.hierarchy import build_dendrogram, cut
 from modlcc.model import Coclustering, from_partitions, maximal_model, null_model
@@ -103,9 +103,14 @@ def test_cut_validates_targets():
         cut(dend, 1, 99)
 
 
-def test_dendrogram_to_dict():
+def test_dendrogram_to_dict(monkeypatch):
     model = clustered_example()
-    doc = build_dendrogram(model).to_dict()
+    dend = build_dendrogram(model)
+    fresh = Coclustering(model.sample, model.source_assignment, model.target_assignment).criterion()
+    # the input's criterion that `build_dendrogram` scored is read, not scored again
+    monkeypatch.setattr(model_module, "Engine", None)
+    doc = dend.to_dict()
+    assert doc["initial_criterion"] == fresh.total
     assert doc["initial_k_source"] == 2 and doc["initial_k_target"] == 3
     assert len(doc["merges"]) == 3
     assert {"side", "a", "b", "delta", "criterion"} <= set(doc["merges"][0])
